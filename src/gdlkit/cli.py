@@ -144,6 +144,8 @@ def _random_graph(n, d, rng):
 
 
 def _cmd_gnn_equivariance(args, seed):
+    if min(args.n, args.trials) < 1:  # a probe over nothing passes vacuously
+        raise ValueError(f"--n and --trials must be at least 1, got {args.n} and {args.trials}")
     rng = substream(seed, "gnn-equivariance")
     worst = 0.0
     for trial in range(args.trials):
@@ -232,6 +234,8 @@ def egnn_test_params(d, hidden, seed):
 
 
 def _cmd_egnn_equivariance(args, seed):
+    if min(args.n, args.trials) < 1:  # a probe over nothing passes vacuously
+        raise ValueError(f"--n and --trials must be at least 1, got {args.n} and {args.trials}")
     rng = substream(seed, "egnn-equivariance")
     worst_e3 = 0.0
     worst_perm = 0.0
@@ -268,9 +272,20 @@ def _permute_rows(x, p):
     return out
 
 
+def _parse_orders(text):
+    """A feature type such as ``[0,0,1]``: a non-empty JSON list of integers."""
+    try:
+        orders = json.loads(text)
+    except json.JSONDecodeError:
+        orders = None
+    if not isinstance(orders, list) or not orders or {type(m) for m in orders} != {int}:
+        raise ValueError(f"orders must be a non-empty JSON list of integers, got {text!r}")
+    return tuple(orders)
+
+
 def _cmd_gauge_equivariance(args, seed):
-    orders_in = tuple(json.loads(args.orders))
-    orders_out = tuple(json.loads(args.orders_out)) if args.orders_out else orders_in
+    orders_in = _parse_orders(args.orders)
+    orders_out = _parse_orders(args.orders_out) if args.orders_out else orders_in
     mesh = _mesh_from_spec(args.mesh)
     frames = geo.tangent_frames(mesh)
     conn = geo.transport_angles(mesh, frames, geo.one_ring_log_map(mesh, frames))
@@ -285,8 +300,7 @@ def _cmd_gauge_equivariance(args, seed):
     angles = step * rng.integers(0, args.bins, size=mesh.n_vertices)
     _, conn2, x2 = geo.gauge_transform(frames, conn, x, angles, orders_in)
     transformed = geo.gauge_conv(mesh, conn2, kernel, x2)
-    expected = np.stack([geo.rep_matrix(orders_out, -angles[u]) @ base[u]
-                         for u in range(mesh.n_vertices)])
+    expected = np.einsum("nij,nj->ni", geo.rep_matrix(orders_out, -angles), base)
     worst = float(np.max(np.abs(transformed - expected)))
     params = {"mesh": args.mesh, "orders": args.orders,
               "orders_out": args.orders_out or args.orders, "bins": args.bins}

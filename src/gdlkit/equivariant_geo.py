@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_nn import MlpParams, tree_sum
+from .graph_nn import MlpParams, adjacency_from_edges, edge_index, tree_sum
 from .numkit import nullspace_basis
 
 TWO_PI = 2.0 * np.pi
@@ -35,7 +35,8 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class GeometricGraph:
-    """3-D node positions, node features and undirected neighbour lists."""
+    """3-D node positions, node features and undirected edges; the attribute
+    ``edge_index`` is their :mod:`gdlkit.graph_nn` edge index."""
 
     positions: np.ndarray
     features: np.ndarray
@@ -50,19 +51,12 @@ class GeometricGraph:
             raise ValueError("non-finite inputs")
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "features", f)
+        object.__setattr__(self, "edge_index",
+                           edge_index(adjacency_from_edges(p.shape[0], self.edges)))
 
     @property
     def n(self):
         return self.positions.shape[0]
-
-    def neighbours(self, u):
-        out = set()
-        for a, b in self.edges:
-            if a == u:
-                out.add(b)
-            elif b == u:
-                out.add(a)
-        return np.array(sorted(out), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -86,27 +80,17 @@ def egnn_layer(g, params):
     Features update through distances only; coordinates move along the
     difference vectors weighted by a learned scalar, so rigid motions of
     the input rigidly move the output and features stay invariant.  Both
-    sums run over the declared neighbourhoods with fixed-tree reduction;
+    sums run over the declared neighbourhoods as fixed-order segment sums;
     isolated nodes keep their position and see a zero aggregate.
     """
-    f = g.features
-    x = g.positions
-    width = params.psi_f.out_width
-    new_f = np.empty((g.n, params.phi.out_width))
-    new_x = x.copy()
-    for u in range(g.n):
-        nbrs = g.neighbours(u)
-        if nbrs.shape[0] == 0:
-            aggregate = np.zeros(width)
-        else:
-            sq = np.sum((x[u] - x[nbrs]) ** 2, axis=1, keepdims=True)
-            pair = np.concatenate(
-                [np.repeat(f[u][None, :], nbrs.shape[0], axis=0), f[nbrs], sq], axis=1)
-            aggregate = tree_sum(params.psi_f.apply(pair))
-            weights = params.psi_c.apply(pair)[:, 0]
-            new_x[u] = x[u] + tree_sum(weights[:, None] * (x[u] - x[nbrs]))
-        new_f[u] = params.phi.apply(np.concatenate([f[u], aggregate]))
-    return new_f, new_x
+    receivers, senders, indptr = g.edge_index
+    f, x = g.features, g.positions
+    diff = x[receivers] - x[senders]
+    pair = np.concatenate([f[receivers], f[senders], np.sum(diff ** 2, axis=1, keepdims=True)],
+                          axis=1)
+    aggregate = tree_sum(params.psi_f.apply(pair), indptr)
+    new_x = x + tree_sum(params.psi_c.apply(pair) * diff, indptr)
+    return params.phi.apply(np.concatenate([f, aggregate], axis=1)), new_x
 
 
 def e3_transform(g, rotation, translation):
@@ -368,17 +352,19 @@ def rep_dimension(orders):
 
 def rep_matrix(orders, angle):
     """Block-diagonal action: order 0 blocks are scalars, order m blocks
-    rotate by ``m * angle``."""
+    rotate by ``m * angle``; an array of angles stacks one matrix per angle."""
+    angle = np.asarray(angle, dtype=float)
     dim = rep_dimension(orders)
-    out = np.zeros((dim, dim))
+    out = np.zeros(angle.shape + (dim, dim))
     pos = 0
     for m in orders:
         if m == 0:
-            out[pos, pos] = 1.0
+            out[..., pos, pos] = 1.0
             pos += 1
         else:
             c, s = np.cos(m * angle), np.sin(m * angle)
-            out[pos:pos + 2, pos:pos + 2] = [[c, -s], [s, c]]
+            out[..., pos, pos], out[..., pos, pos + 1] = c, -s
+            out[..., pos + 1, pos], out[..., pos + 1, pos + 1] = s, c
             pos += 2
     return out
 
@@ -488,31 +474,36 @@ def snap_angle(angle, n_bins):
     return (np.round(angle / step) % n_bins) * step
 
 
+def _edge_arrays(table):
+    """Keys (m, 2) and values (m,) of an edge-keyed dict, in dict order."""
+    keys = np.array(list(table), dtype=int).reshape(-1, 2)
+    return keys, np.fromiter(table.values(), dtype=float, count=keys.shape[0])
+
+
 def gauge_conv(mesh, conn, kernel, x):
     """Gauge-equivariant message passing
     ``h_u = Theta_self x_u + sum_v Theta_neigh(theta_uv) rho(g_{v->u}) x_v``
     with all angles snapped to the kernel's ``C_N`` grid."""
     x = np.asarray(x, dtype=float)
     d_in = rep_dimension(kernel.orders_in)
-    d_out = rep_dimension(kernel.orders_out)
     if x.shape != (mesh.n_vertices, d_in):
         raise ValueError("feature width must match the input type")
     if kernel_constraint_residual(kernel) > 1e-8:
         raise ValueError("kernel violates the gauge constraints")
+    pairs, theta = _edge_arrays(conn.theta)
+    back, transport = _edge_arrays(conn.transport)  # keyed (v, u)
+    receivers, senders, indptr = edge_index(
+        adjacency_from_edges(mesh.n_vertices, pairs, undirected=False))
+    # the index orders the (unique) edges by receiver, then sender
+    order, back_order = np.lexsort((pairs[:, 1], pairs[:, 0])), np.lexsort(back.T)
+    if not np.array_equal(back[back_order], np.stack([senders, receivers], axis=1)):
+        raise ValueError("polar angles and transports must cover the same directed edges")
     n_bins = kernel.n_bins
-    step = TWO_PI / n_bins
-    neighbours = {}
-    for (u, v) in conn.theta:
-        neighbours.setdefault(u, []).append(v)
-    out = np.zeros((mesh.n_vertices, d_out))
-    for u in range(mesh.n_vertices):
-        h = kernel.theta_self @ x[u]
-        for v in sorted(neighbours.get(u, ())):
-            b = int(np.round(conn.theta[(u, v)] / step)) % n_bins
-            g = snap_angle(conn.transport[(v, u)], n_bins)
-            h = h + kernel.theta_neigh[b] @ (rep_matrix(kernel.orders_in, g) @ x[v])
-        out[u] = h
-    return out
+    bins = np.round(theta[order] / (TWO_PI / n_bins)).astype(int) % n_bins
+    rho = rep_matrix(kernel.orders_in, snap_angle(transport[back_order], n_bins))
+    moved = np.einsum("eij,ej->ei", rho, x[senders])
+    msgs = np.einsum("eij,ej->ei", kernel.theta_neigh[bins], moved)
+    return x @ kernel.theta_self.T + tree_sum(msgs, indptr)
 
 
 def gauge_transform(frames, conn, x, angles, orders):
@@ -531,10 +522,13 @@ def gauge_transform(frames, conn, x, angles, orders):
         e2=-sin * frames.e1 + cos * frames.e2,
         normal=frames.normal.copy(),
     )
-    theta = {(u, v): (ang - angles[u]) % TWO_PI for (u, v), ang in conn.theta.items()}
-    transport = {(v, u): (g - angles[u] + angles[v]) % TWO_PI
-                 for (v, u), g in conn.transport.items()}
-    new_conn = Connection(theta=theta, radius=dict(conn.radius), transport=transport,
-                          boundary_vertices=list(conn.boundary_vertices))
-    new_x = np.stack([rep_matrix(orders, -angles[u]) @ x[u] for u in range(n)])
+    pairs, theta = _edge_arrays(conn.theta)
+    back, transport = _edge_arrays(conn.transport)  # keyed (v, u)
+    new_conn = Connection(
+        theta=dict(zip(conn.theta, (theta - angles[pairs[:, 0]]) % TWO_PI)),
+        radius=dict(conn.radius),
+        transport=dict(zip(conn.transport,
+                           (transport - angles[back[:, 1]] + angles[back[:, 0]]) % TWO_PI)),
+        boundary_vertices=list(conn.boundary_vertices))
+    new_x = np.einsum("nij,nj->ni", rep_matrix(orders, -angles), x)
     return new_frames, new_conn, new_x

@@ -3,9 +3,11 @@ linear set generators, the three spatial GNN flavours (convolutional,
 attentional, message-passing), self-attention on the complete graph with
 optional positional encodings, and Weisfeiler-Lehman colour refinement.
 
-Aggregation is a fixed balanced reduction tree over contributions sorted
-by node index, so permuting the input reorders floating-point sums only
-at the tree level and outputs agree to near machine precision.
+This module owns the adjacency format: the canonical CSR index
+``(receivers, senders, indptr)``, edges sorted by receiver then sender, the
+edges into ``u`` at ``indptr[u]:indptr[u + 1]``.  Layers gather per edge,
+compute messages, and sum them with :func:`tree_sum` in that fixed order,
+so permuted inputs agree to near machine precision.
 """
 
 from dataclasses import dataclass
@@ -42,10 +44,6 @@ class MlpParams:
                 raise ValueError("non-finite parameters")
 
     @property
-    def in_width(self):
-        return self.weights[0].shape[1] if self.weights else None
-
-    @property
     def out_width(self):
         return self.weights[-1].shape[0] if self.weights else None
 
@@ -71,9 +69,29 @@ def mlp_init(widths, rng, activation="tanh"):
     return MlpParams(weights=weights, biases=biases, activation=activation)
 
 
+def adjacency_from_edges(n, edges, undirected=True):
+    """Binary CSR adjacency of an edge list in canonical form: indices
+    sorted, duplicate edges collapsed, undirected edges stored both ways."""
+    pairs = np.asarray(edges, dtype=int).reshape(-1, 2)
+    if undirected:
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    adj = sp.csr_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    adj.data[:] = 1.0  # collapse duplicate edges
+    return adj
+
+
+def edge_index(adjacency):
+    """``(receivers, senders, indptr)`` of a canonical CSR adjacency."""
+    indptr = adjacency.indptr
+    receivers = np.repeat(np.arange(adjacency.shape[0]), np.diff(indptr))
+    return receivers, adjacency.indices, indptr
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Node features plus sparse binary adjacency, kept synchronised."""
+    """Node features plus sparse binary adjacency, kept synchronised.
+    ``adjacency`` is a canonical copy of the caller's matrix and the
+    attribute ``edge_index`` its view, the one way layers read edges."""
 
     adjacency: sp.csr_matrix
     features: np.ndarray
@@ -81,13 +99,17 @@ class Graph:
     allow_self_loops: bool = False
 
     def __post_init__(self):
+        adj = sp.csr_matrix(self.adjacency, dtype=float, copy=True)
+        adj.sum_duplicates()
+        adj.eliminate_zeros()
+        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "edge_index", edge_index(adj))
         n = self.features.shape[0]
-        if self.adjacency.shape != (n, n):
+        if adj.shape != (n, n):
             raise ValueError("adjacency must be square and match the feature rows")
-        if self.undirected:
-            if (self.adjacency != self.adjacency.T).nnz != 0:
-                raise ValueError("undirected graph requires symmetric adjacency")
-        if not self.allow_self_loops and self.adjacency.diagonal().any():
+        if self.undirected and (adj != adj.T).nnz != 0:
+            raise ValueError("undirected graph requires symmetric adjacency")
+        if not self.allow_self_loops and adj.diagonal().any():
             raise ValueError("self-loops present but not flagged")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite node features")
@@ -96,23 +118,10 @@ class Graph:
     def n(self):
         return self.features.shape[0]
 
-    def neighbours(self, u):
-        row = self.adjacency.getrow(u)
-        return row.indices[row.data != 0]
-
 
 def graph_from_edges(n, edges, features, undirected=True, allow_self_loops=False):
-    rows, cols = [], []
-    for u, v in edges:
-        rows.append(u)
-        cols.append(v)
-        if undirected and u != v:
-            rows.append(v)
-            cols.append(u)
-    data = np.ones(len(rows))
-    adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    adj.data[:] = 1.0  # collapse duplicate edges
-    return Graph(adjacency=adj, features=np.asarray(features, dtype=float),
+    return Graph(adjacency=adjacency_from_edges(n, edges, undirected),
+                 features=np.asarray(features, dtype=float),
                  undirected=undirected, allow_self_loops=allow_self_loops)
 
 
@@ -137,21 +146,20 @@ def permute_graph(g, p):
                  allow_self_loops=g.allow_self_loops)
 
 
-def tree_sum(rows):
-    """Balanced pairwise reduction of an (m, d) stack along axis 0.
+def tree_sum(values, indptr):
+    """Segment sums of an (m, ...) stack: row ``u`` of the result sums
+    ``values[indptr[u]:indptr[u + 1]]`` in storage order; empty segments
+    give zero.
 
     Used for every neighbourhood aggregation so results are reproducible
     to ~1e-12 under permutations of the inputs.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[0] == 0:
-        raise ValueError("tree_sum of an empty stack; caller handles empties")
-    while rows.shape[0] > 1:
-        m = rows.shape[0]
-        half = m // 2
-        paired = rows[:2 * half:2] + rows[1:2 * half:2]
-        rows = np.concatenate([paired, rows[2 * half:]], axis=0) if m % 2 else paired
-    return rows[0]
+    values = np.asarray(values, dtype=float)
+    indptr = np.asarray(indptr)
+    out = np.zeros((indptr.shape[0] - 1,) + values.shape[1:])
+    filled = indptr[:-1] < indptr[1:]
+    out[filled] = np.add.reduceat(values, indptr[:-1][filled], axis=0)
+    return out
 
 
 def deepsets_forward(x, psi, phi):
@@ -162,14 +170,7 @@ def deepsets_forward(x, psi, phi):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected an (n, d) feature matrix")
-    if x.shape[0] == 0:
-        width = psi.out_width
-        if width is None:
-            width = x.shape[1]
-        aggregate = np.zeros(width)
-    else:
-        aggregate = tree_sum(psi.apply(x))
-    return phi.apply(aggregate)
+    return phi.apply(tree_sum(psi.apply(x), [0, x.shape[0]])[0])
 
 
 def set_linear_equivariant(x, alpha, beta):
@@ -214,10 +215,9 @@ def gnn_params(d, hidden, out, flavour, seed):
 
 
 def conv_coefficient(g, u, v):
-    # degrees counted with the self-loop option: d_u = deg_u + 1
-    du = g.neighbours(u).shape[0] + 1.0
-    dv = g.neighbours(v).shape[0] + 1.0
-    return 1.0 / np.sqrt(du * dv)
+    """``1 / sqrt(d_u d_v)``, ``d_u = deg_u + 1``; ``u``, ``v`` may be index arrays."""
+    degree = np.diff(g.edge_index[2]) + 1.0
+    return 1.0 / np.sqrt(degree[u] * degree[v])
 
 
 def gnn_forward(g, flavour, params, attention_fn=None, message_fn=None):
@@ -225,51 +225,38 @@ def gnn_forward(g, flavour, params, attention_fn=None, message_fn=None):
 
     flavour 'conv': messages ``c_uv psi(x_v)`` with the symmetric degree
     normalisation; 'attn': ``a(x_u, x_v) psi(x_v)`` with softmax-normalised
-    scores; 'mpnn': ``psi(x_u || x_v)``.  ``attention_fn(g, u, v)`` and
-    ``message_fn(x_u, x_v)`` override the respective mechanisms (used by
-    the flavour-containment checks).  Empty neighbourhoods aggregate to
-    the zero vector.
+    scores; 'mpnn': ``psi(x_u || x_v)``.  ``attention_fn(g, receivers,
+    senders)`` and ``message_fn(x_receivers, x_senders)`` override the
+    respective mechanisms on the whole edge index at once (used by the
+    flavour-containment checks).  Empty neighbourhoods aggregate to the
+    zero vector.
     """
     if flavour not in ("conv", "attn", "mpnn"):
         raise ValueError(f"unknown flavour {flavour!r}")
+    receivers, senders, indptr = g.edge_index
     x = g.features
-    width = params.psi.out_width
-    if width is None:
-        width = 2 * x.shape[1] if flavour == "mpnn" else x.shape[1]
-    out = []
-    for u in range(g.n):
-        nbrs = np.sort(g.neighbours(u))
-        if nbrs.shape[0] == 0:
-            aggregate = np.zeros(width)
-        elif flavour == "conv":
-            msgs = params.psi.apply(x[nbrs])
-            coeff = np.array([conv_coefficient(g, u, v) for v in nbrs])
-            aggregate = tree_sum(coeff[:, None] * msgs)
-        elif flavour == "attn":
-            msgs = params.psi.apply(x[nbrs])
-            if attention_fn is not None:
-                scores = np.array([attention_fn(g, u, v) for v in nbrs])
-            else:
-                logits = params.att_q @ np.tanh(
-                    (params.att_w @ x[u])[:, None] + params.att_u @ x[nbrs].T
-                )
-                logits = logits - np.max(logits)
-                weights = np.exp(logits)
-                scores = weights / np.sum(weights)
-            if np.any(~np.isfinite(scores)):
-                raise ValueError(f"degenerate attention at node {u}")
-            aggregate = tree_sum(scores[:, None] * msgs)
-        else:  # mpnn
-            if message_fn is not None:
-                msgs = np.stack([message_fn(x[u], x[v]) for v in nbrs])
-            else:
-                pairs = np.concatenate(
-                    [np.repeat(x[u][None, :], nbrs.shape[0], axis=0), x[nbrs]], axis=1
-                )
-                msgs = params.psi.apply(pairs)
-            aggregate = tree_sum(msgs)
-        out.append(params.phi.apply(np.concatenate([x[u], aggregate])))
-    return np.stack(out)
+    if flavour == "conv":
+        msgs = conv_coefficient(g, receivers, senders)[:, None] * params.psi.apply(x[senders])
+    elif flavour == "attn":
+        if attention_fn is not None:
+            scores = np.asarray(attention_fn(g, receivers, senders), dtype=float)
+        else:
+            logits = np.tanh(x[receivers] @ params.att_w.T
+                             + x[senders] @ params.att_u.T) @ params.att_q
+            counts = np.diff(indptr)
+            filled = counts > 0
+            top = np.maximum.reduceat(logits, indptr[:-1][filled])
+            weights = np.exp(logits - np.repeat(top, counts[filled]))
+            scores = weights / tree_sum(weights, indptr)[receivers]
+        degenerate = ~np.isfinite(scores)
+        if degenerate.any():
+            raise ValueError(f"degenerate attention at node {receivers[np.argmax(degenerate)]}")
+        msgs = scores[:, None] * params.psi.apply(x[senders])
+    elif message_fn is not None:
+        msgs = message_fn(x[receivers], x[senders])
+    else:
+        msgs = params.psi.apply(np.concatenate([x[receivers], x[senders]], axis=1))
+    return params.phi.apply(np.concatenate([x, tree_sum(msgs, indptr)], axis=1))
 
 
 def positional_encoding(n, d):
@@ -307,14 +294,14 @@ def transformer_forward(x, params, use_positional=False):
 
 
 def _refine_once(graphs_colours, graphs, table):
-    """One shared-interning refinement round across a list of graphs."""
+    """One shared-interning refinement round across a list of graphs: gather
+    the sender colours per edge and sort them within each receiver's segment."""
     signatures = []
     for colours, g in zip(graphs_colours, graphs):
-        sigs = []
-        for u in range(g.n):
-            nbr = tuple(sorted(colours[v] for v in g.neighbours(u)))
-            sigs.append((colours[u], nbr))
-        signatures.append(sigs)
+        receivers, senders, indptr = g.edge_index
+        nbrs = colours[senders[np.lexsort((colours[senders], receivers))]]
+        signatures.append([(c, tuple(seg.tolist())) for c, seg in
+                           zip(colours.tolist(), np.split(nbrs, indptr[1:-1]))])
     # lexicographic interning keeps colour ids canonical, never hash-based
     fresh = sorted({s for sigs in signatures for s in sigs if s not in table})
     for s in fresh:

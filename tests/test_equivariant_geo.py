@@ -14,8 +14,12 @@ def angle_close(a, b, tol):
     return min(d, TWO_PI - d) <= tol
 
 
-def random_geometric_graph(n, d, rng, p=0.4):
+def random_geometric_graph(n, d, rng, p=0.4, irregular=False):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < p]
+    if irregular:
+        # an isolated last node, a self-loop and a duplicate edge stored reversed
+        edges = [e for e in edges if n - 1 not in e]
+        edges += [(0, 0), edges[0][::-1]]
     return geo.GeometricGraph(positions=rng.standard_normal((n, 3)),
                               features=rng.standard_normal((n, d)), edges=edges)
 
@@ -59,8 +63,8 @@ class TestEgnn:
     def test_e3_equivariance_with_reflections(self):
         rng = np.random.default_rng(2)
         worst = 0.0
-        for trial in range(20):
-            g = random_geometric_graph(10, 4, rng)
+        for trial in range(40):
+            g = random_geometric_graph(10, 4, rng, irregular=trial >= 20)
             params = egnn_params(4, 5, seed=trial)
             f0, x0 = geo.egnn_layer(g, params)
             rot = random_rotation(rng, reflect=trial % 2 == 1)
@@ -74,8 +78,8 @@ class TestEgnn:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         worst = 0.0
-        for trial in range(20):
-            g = random_geometric_graph(10, 4, rng)
+        for trial in range(40):
+            g = random_geometric_graph(10, 4, rng, irregular=trial >= 20)
             params = egnn_params(4, 5, seed=100 + trial)
             f0, x0 = geo.egnn_layer(g, params)
             p = rng.permutation(10)
@@ -351,6 +355,16 @@ class TestGaugeConv:
                               theta_neigh=np.zeros((4, 2, 2)))
         with pytest.raises(ValueError, match="constraint"):
             geo.gauge_conv(mesh, conn, bad, np.zeros((mesh.n_vertices, 2)))
+
+    def test_connection_missing_a_transport_rejected(self, sphere_connection):
+        mesh, _, conn = sphere_connection
+        transport = dict(conn.transport)
+        del transport[next(iter(transport))]
+        partial = geo.Connection(theta=conn.theta, radius=conn.radius, transport=transport,
+                                 boundary_vertices=conn.boundary_vertices)
+        kernel = geo.kernel_constraint_basis((0,), (0,), 4)[0]
+        with pytest.raises(ValueError, match="same directed edges"):
+            geo.gauge_conv(mesh, partial, kernel, np.zeros((mesh.n_vertices, 1)))
 
 
 class TestGaugeTransform:

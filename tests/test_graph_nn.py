@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gdlkit.graph_nn import (
     Graph,
@@ -33,6 +36,19 @@ def permuted_rows(x, p):
     out = np.empty_like(x)
     out[p] = x
     return out
+
+
+def raw_permuted_adjacency(g, p):
+    """``P A P^T`` as the raw sparse product (unsorted indices) with an
+    explicit zero stored after node 0's entries, at a non-edge."""
+    pm = sp.csr_matrix((np.ones(g.n), (p, np.arange(g.n))), shape=(g.n, g.n))
+    raw = (pm @ g.adjacency @ pm.T).tocsr()
+    v = next(w for w in range(1, g.n) if raw[0, w] == 0)
+    end = raw.indptr[1]
+    indptr = raw.indptr.copy()
+    indptr[1:] += 1
+    return sp.csr_matrix((np.insert(raw.data, end, 0.0), np.insert(raw.indices, end, v), indptr),
+                         shape=raw.shape)
 
 
 class TestPermuteGraph:
@@ -73,6 +89,7 @@ class TestDeepSets:
         phi = mlp_init([4, 2], rng)
         out = deepsets_forward(np.zeros((0, 3)), psi, phi)
         assert np.array_equal(out, phi.apply(np.zeros(4)))
+        assert np.array_equal(deepsets_forward(np.zeros((0, 3)), IDENTITY, IDENTITY), np.zeros(3))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -142,7 +159,22 @@ class TestGnnForward:
             base = gnn_forward(g, flavour, params)
             out = gnn_forward(permute_graph(g, p), flavour, params)
             worst = max(worst, float(np.max(np.abs(out - permuted_rows(base, p)))))
+            # a non-canonical CSR gives the same layer and is left as it was
+            raw = raw_permuted_adjacency(g, p)
+            stored = (raw.indices.copy(), raw.data.copy())
+            h = Graph(adjacency=raw, features=permuted_rows(g.features, p))
+            assert h.adjacency.nnz == raw.nnz - 1
+            assert np.array_equal(gnn_forward(h, flavour, params), out)
+            assert np.array_equal(raw.indices, stored[0]) and np.array_equal(raw.data, stored[1])
         assert worst <= 1e-11
+
+    def test_sharp_attention_shifts_logits_per_neighbourhood(self):
+        # logits up to ~1e4: a single shift for all nodes underflows whole neighbourhoods
+        rng = np.random.default_rng(17)
+        g = random_graph(10, 4, rng)
+        params = gnn_params(4, 6, 3, "attn", seed=17)
+        out = gnn_forward(g, "attn", dataclasses.replace(params, att_q=1e4 * params.att_q))
+        assert np.all(np.isfinite(out))
 
     def test_attention_reduces_to_conv_with_lookup(self):
         rng = np.random.default_rng(7)
@@ -158,19 +190,23 @@ class TestGnnForward:
         params = gnn_params(4, 6, 3, "attn", seed=10)
         attn = gnn_forward(g, "attn", params)
         x = g.features
+        adj = g.adjacency.toarray()
 
         def attention_weight(u, v):
-            nbrs = np.sort(g.neighbours(u))
+            nbrs = np.flatnonzero(adj[u])
             logits = params.att_q @ np.tanh(
                 (params.att_w @ x[u])[:, None] + params.att_u @ x[nbrs].T)
             logits = logits - np.max(logits)
             weights = np.exp(logits)
             return weights[list(nbrs).index(v)] / np.sum(weights)
 
+        def node_of(row):
+            return int(np.where((x == row).all(axis=1))[0][0])
+
         def message(xu, xv):
-            u = int(np.where((x == xu).all(axis=1))[0][0])
-            v = int(np.where((x == xv).all(axis=1))[0][0])
-            return attention_weight(u, v) * params.psi.apply(xv)
+            # one row per edge: receiver features xu, sender features xv
+            scores = [attention_weight(node_of(a), node_of(b)) for a, b in zip(xu, xv)]
+            return np.array(scores)[:, None] * params.psi.apply(xv)
 
         mpnn = gnn_forward(g, "mpnn", params, message_fn=message)
         assert np.max(np.abs(mpnn - attn)) <= 1e-12
@@ -268,7 +304,12 @@ class TestWeisfeilerLehman:
 def test_tree_sum_matches_plain_sum():
     rng = np.random.default_rng(16)
     rows = rng.standard_normal((13, 4))
-    assert np.allclose(tree_sum(rows), rows.sum(axis=0), atol=1e-12)
+    assert np.allclose(tree_sum(rows, [0, 13])[0], rows.sum(axis=0), atol=1e-12)
+    # empty segments (leading, inner, trailing, or all of them) give zero rows
+    sums = tree_sum(rows, [0, 0, 5, 5, 13, 13])
+    assert np.array_equal(sums[[0, 2, 4]], np.zeros((3, 4)))
+    assert np.allclose(sums[[1, 3]], [rows[:5].sum(axis=0), rows[5:].sum(axis=0)], atol=1e-12)
+    assert np.array_equal(tree_sum(np.zeros((0, 4)), [0, 0, 0]), np.zeros((2, 4)))
 
 
 def test_edgelist_round_trip(tmp_path):
