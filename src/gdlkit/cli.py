@@ -68,10 +68,19 @@ def emit(report, path, fmt="json"):
 
 
 def _mesh_from_spec(spec):
-    """Either ``icosphere:k`` or a .off/.obj path."""
+    """Either ``icosphere:k`` or a .off/.obj path; a loaded mesh must be
+    consistently oriented with manifold edges and vertices (boundaries are
+    allowed)."""
     if spec.startswith("icosphere:"):
         return mesh_core.icosphere(int(spec.split(":", 1)[1]))
-    return mesh_core.load_mesh(spec)
+    mesh = mesh_core.load_mesh(spec)
+    report = mesh_core.validate_manifold(mesh)
+    for flaw, found in (("orientation conflict on directed edge", report.orientation_conflicts),
+                        ("non-manifold edge", report.nonmanifold_edges),
+                        ("non-manifold vertex", report.nonmanifold_vertices)):
+        if found:
+            raise ValueError(f"{spec}: {flaw} {found[0]}")
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +319,8 @@ def _cmd_gauge_equivariance(args, seed):
 
 
 def _cmd_rnn_shift_equivariance(args, seed):
+    if min(args.T, args.m) < 1:
+        raise ValueError(f"--T and --m must be at least 1, got {args.T} and {args.m}")
     rng = substream(seed, "rnn-shift")
     params = seq_models.simple_rnn_params(args.m, args.m, seed, scale=0.6)
     h0, trace = seq_models.rnn_fixed_point(params, tol=1e-13)
@@ -329,6 +340,8 @@ def _cmd_rnn_shift_equivariance(args, seed):
 
 
 def _cmd_lstm_chrono(args, seed):
+    if args.m < 1:
+        raise ValueError(f"--m must be at least 1, got {args.m}")
     biases = seq_models.chrono_init(args.tlow, args.thigh, args.m, seed)
     gates = 1.0 / (1.0 + np.exp(-biases))
     lo, hi = 1.0 / args.thigh, 1.0 / args.tlow

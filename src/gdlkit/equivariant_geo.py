@@ -11,7 +11,9 @@ Two constructions live here:
   expressed in geodesic polar coordinates from a one-ring log map,
   features are moved between frames by parallel transport, and the filter
   matrices are constrained to a linear subspace so the output transforms
-  predictably under any per-vertex frame rotation.
+  predictably under any per-vertex frame rotation.  One-rings, corner
+  angles and reference neighbours are read from the half-edge index of
+  :func:`gdlkit.mesh_core.half_edge_index`.
 
 The rotation group is discretised to the cyclic grid ``C_N``: all angles
 entering the convolution are snapped to the grid, which makes the kernel
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_nn import MlpParams, adjacency_from_edges, edge_index, tree_sum
+from .mesh_core import half_edge_index
 from .numkit import nullspace_basis
 
 TWO_PI = 2.0 * np.pi
@@ -127,42 +130,21 @@ class GaugeFrameField:
             raise ValueError("normal must equal e1 x e2")
 
 
-def _vertex_rings(mesh):
-    """Ordered one-ring neighbour cycles (or open fans) per vertex.
+def _corner_angles(v, centre, a, b):
+    """Interior angle at ``centre`` between the edges to ``a`` and ``b``."""
+    e1, e2 = v[a] - v[centre], v[b] - v[centre]
+    cosang = np.einsum("ij,ij->i", e1, e2) / (
+        np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
 
-    Face corners (u, v, w) contribute the directed link edge v -> w, so for
-    consistently outward-oriented faces the ring runs counterclockwise
-    around the outward normal.  Returns (rings, boundary_flags).
-    """
-    succ = [dict() for _ in range(mesh.n_vertices)]
-    for a, b, c in mesh.faces:
-        succ[a][int(b)] = int(c)
-        succ[b][int(c)] = int(a)
-        succ[c][int(a)] = int(b)
-    rings, boundary = [], []
-    for u in range(mesh.n_vertices):
-        nxt = succ[u]
-        if not nxt:
-            rings.append([])
-            boundary.append(False)
-            continue
-        starts = set(nxt) - set(nxt.values())
-        is_boundary = bool(starts)
-        start = min(starts) if starts else min(nxt)
-        ring = [start]
-        while len(ring) <= len(nxt):
-            cur = ring[-1]
-            if cur not in nxt:
-                break
-            follower = nxt[cur]
-            if follower == ring[0]:
-                break
-            ring.append(follower)
-        if len(ring) != len(set(ring)) or len(ring) < len(nxt):
-            raise ValueError(f"vertex {u} has a non-manifold star")
-        rings.append(ring)
-        boundary.append(is_boundary)
-    return rings, boundary
+
+def _reference_neighbours(index):
+    """Lowest one-ring neighbour per vertex (``n`` where there is none): the
+    frame's reference direction and the log map's angle zero."""
+    n = index.indptr.size - 1
+    ref = np.full(n, n)
+    np.minimum.at(ref, index.centre, np.minimum(index.first, index.second))
+    return ref
 
 
 def tangent_frames(mesh):
@@ -172,25 +154,18 @@ def tangent_frames(mesh):
     f = mesh.faces
     face_normal = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
     normals = np.zeros((mesh.n_vertices, 3))
-    for fi, face in enumerate(f):
-        for u in face:
-            normals[u] += face_normal[fi]  # cross product length = 2 * area
+    np.add.at(normals, f.ravel(), np.repeat(face_normal, 3, axis=0))  # |cross| = 2 * area
     norms = np.linalg.norm(normals, axis=1)
     if np.any(norms < 1e-14):
         raise ValueError("degenerate vertex star: zero normal")
     normals /= norms[:, None]
-    rings, _ = _vertex_rings(mesh)
-    e1 = np.empty_like(normals)
-    for u in range(mesh.n_vertices):
-        if not rings[u]:
-            raise ValueError(f"vertex {u} has no incident face")
-        ref = min(rings[u])
-        edge = v[ref] - v[u]
-        proj = edge - (edge @ normals[u]) * normals[u]
-        norm = np.linalg.norm(proj)
-        if norm < 1e-14:
-            raise ValueError(f"reference edge at vertex {u} is parallel to the normal")
-        e1[u] = proj / norm
+    edge = v[_reference_neighbours(half_edge_index(mesh))] - v
+    proj = edge - np.einsum("ij,ij->i", edge, normals)[:, None] * normals
+    norm = np.linalg.norm(proj, axis=1)
+    if np.any(norm < 1e-14):
+        u = int(np.argmax(norm < 1e-14))
+        raise ValueError(f"reference edge at vertex {u} is parallel to the normal")
+    e1 = proj / norm[:, None]
     e2 = np.cross(normals, e1)
     return GaugeFrameField(e1=e1, e2=e2, normal=normals)
 
@@ -220,33 +195,32 @@ def one_ring_log_map(mesh, frames):
     the frame's reference edge (lowest neighbour index) at angle zero.
     """
     v = mesh.vertices
-    rings, boundary = _vertex_rings(mesh)
-    theta, radius = {}, {}
-    boundary_vertices = [u for u, b in enumerate(boundary) if b]
-    for u in range(mesh.n_vertices):
-        ring = rings[u]
-        if not ring:
-            continue
-        m = len(ring)
-        corners = np.empty(m)
-        count = m if not boundary[u] else m - 1
-        cumulative = np.zeros(m)
-        for i in range(count):
-            a = v[ring[i]] - v[u]
-            b = v[ring[(i + 1) % m]] - v[u]
-            cosang = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-            corners[i] = np.arccos(np.clip(cosang, -1.0, 1.0))
-        total = float(np.sum(corners[:count]))
-        scale = TWO_PI / total
-        for i in range(1, m):
-            cumulative[i] = cumulative[i - 1] + corners[i - 1] * scale
-        ref = min(ring)
-        offset = cumulative[ring.index(ref)]
-        for i, nbr in enumerate(ring):
-            theta[(u, nbr)] = (cumulative[i] - offset) % TWO_PI
-            radius[(u, nbr)] = float(np.linalg.norm(v[nbr] - v[u]))
-    return Connection(theta=theta, radius=radius, transport={},
-                      boundary_vertices=boundary_vertices)
+    index = half_edge_index(mesh)
+    centre, step = index.centre, index.step
+    angle = _corner_angles(v, centre, index.first, index.second)
+    # column k + 1 of a vertex's row holds its k-th corner in walk order, so
+    # a cumulative sum along the row puts ring vertex k at column k
+    walk = np.zeros((mesh.n_vertices, int(step.max(initial=0)) + 2))
+    walk[centre, step + 1] = angle
+    total = np.cumsum(walk, axis=1)[centre, -1]
+    walk[centre, step + 1] = angle * (TWO_PI / total)
+    polar = np.cumsum(walk, axis=1)
+    # an open fan's ring ends with the second vertex of its last corner
+    fan_end = index.boundary[centre] & (step == np.diff(index.indptr)[centre] - 1)
+    us = np.concatenate([centre, centre[fan_end]])
+    nbrs = np.concatenate([index.first, index.second[fan_end]])
+    steps = np.concatenate([step, step[fan_end] + 1])
+    order = np.lexsort((steps, us))
+    us, nbrs, steps = us[order], nbrs[order], steps[order]
+    is_ref = nbrs == _reference_neighbours(index)[us]
+    offset = np.zeros(mesh.n_vertices)
+    offset[us[is_ref]] = polar[us[is_ref], steps[is_ref]]
+    theta = (polar[us, steps] - offset[us]) % TWO_PI
+    radius = np.linalg.norm(v[nbrs] - v[us], axis=1)
+    keys = list(zip(us.tolist(), nbrs.tolist()))
+    return Connection(theta=dict(zip(keys, theta.tolist())),
+                      radius=dict(zip(keys, radius.tolist())), transport={},
+                      boundary_vertices=np.flatnonzero(index.boundary).tolist())
 
 
 def transport_angles(mesh, frames, conn):
@@ -264,18 +238,16 @@ def transport_angles(mesh, frames, conn):
                       transport=transport, boundary_vertices=list(conn.boundary_vertices))
 
 
+def _star_angles(mesh, u):
+    """The corner angles at ``u`` in walk order."""
+    index = half_edge_index(mesh)
+    rows = index.walk(u)
+    return _corner_angles(mesh.vertices, index.centre[rows], index.first[rows], index.second[rows])
+
+
 def angle_defect(mesh, u):
     """``2 pi`` minus the interior angles at ``u`` (discrete curvature)."""
-    v = mesh.vertices
-    total = 0.0
-    for face in mesh.faces:
-        if u in face:
-            others = [w for w in face if w != u]
-            a = v[others[0]] - v[u]
-            b = v[others[1]] - v[u]
-            cosang = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-            total += np.arccos(np.clip(cosang, -1.0, 1.0))
-    return TWO_PI - total
+    return TWO_PI - float(np.sum(_star_angles(mesh, u)))
 
 
 def ring_holonomy(mesh, conn, u):
@@ -286,39 +258,23 @@ def ring_holonomy(mesh, conn, u):
     flattening rescale distributes a vertex's defect over its corners);
     :func:`enclosed_curvature` computes that reference value.
     """
-    rings, _ = _vertex_rings(mesh)
-    ring = rings[u]
-    total = 0.0
-    for i, a in enumerate(ring):
-        b = ring[(i + 1) % len(ring)]
-        total += conn.transport[(a, b)]
-    return total % TWO_PI
-
-
-def _corner_angle(mesh, u, a, b):
-    v = mesh.vertices
-    e1, e2 = v[a] - v[u], v[b] - v[u]
-    cosang = np.dot(e1, e2) / (np.linalg.norm(e1) * np.linalg.norm(e2))
-    return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    ring = half_edge_index(mesh).ring(u).tolist()
+    return sum(conn.transport[(a, b)] for a, b in zip(ring, ring[1:] + ring[:1])) % TWO_PI
 
 
 def enclosed_curvature(mesh, u):
     """Curvature enclosed by the one-ring edge loop of ``u``: the centre's
     defect plus, for each ring vertex, its defect share over the corners
     lying inside the star (sum of corner-angle defects)."""
-    rings, _ = _vertex_rings(mesh)
-    ring = rings[u]
-    m = len(ring)
-    total = TWO_PI - sum(_corner_angle(mesh, u, ring[i], ring[(i + 1) % m])
-                         for i in range(m))
-    for i, w in enumerate(ring):
-        prev_v, next_v = ring[(i - 1) % m], ring[(i + 1) % m]
-        ring_w = rings[w]
-        mw = len(ring_w)
-        theta_w = sum(_corner_angle(mesh, w, ring_w[j], ring_w[(j + 1) % mw])
-                      for j in range(mw))
-        inside = _corner_angle(mesh, w, prev_v, u) + _corner_angle(mesh, w, u, next_v)
-        total += (TWO_PI / theta_w - 1.0) * inside
+    index = half_edge_index(mesh)
+    angle = _corner_angles(mesh.vertices, index.centre, index.first, index.second)
+    total_angle = np.bincount(index.centre, weights=angle, minlength=mesh.n_vertices)
+    total = TWO_PI - total_angle[u]
+    for w in index.ring(u):
+        rows = slice(index.indptr[w], index.indptr[w + 1])
+        # the two corners at w in the faces it shares with u
+        inside = angle[rows][(index.first[rows] == u) | (index.second[rows] == u)].sum()
+        total += (TWO_PI / total_angle[w] - 1.0) * inside
     return total % TWO_PI
 
 
@@ -331,12 +287,8 @@ def star_unfolding_holonomy(mesh, u):
     the composition around the loop returns the vector rotated by the angle
     defect (discrete Gauss-Bonnet for a loop enclosing only ``u``).
     """
-    rings, _ = _vertex_rings(mesh)
-    ring = rings[u]
-    m = len(ring)
     rotation = np.eye(2)
-    for i in range(m):
-        ang = _corner_angle(mesh, u, ring[i], ring[(i + 1) % m])
+    for ang in _star_angles(mesh, u):
         c, s = np.cos(ang), np.sin(ang)
         rotation = np.array([[c, -s], [s, c]]) @ rotation
     return (-np.arctan2(rotation[1, 0], rotation[0, 0])) % TWO_PI

@@ -1,7 +1,14 @@
-"""Oriented triangle meshes as discrete manifolds: validation, the discrete
-metric, the cotangent stiffness/lumped-mass pair (from angles and,
-equivalently, from edge lengths alone), icosphere test geometry, controlled
-vertex jitter, and OFF/OBJ-subset file IO.
+"""Oriented triangle meshes as discrete manifolds: the half-edge index,
+validation, the discrete metric, the cotangent stiffness/lumped-mass pair
+(from angles and, equivalently, from edge lengths alone), icosphere test
+geometry, controlled vertex jitter, and OFF/OBJ-subset file IO.
+
+This module owns the mesh connectivity format, the half-edge index of
+:func:`half_edge_index`: one row ``(centre u, first b, second c)`` per face
+corner, sorted by the key ``u * n + b`` (the receiver-major order of
+:func:`gdlkit.graph_nn.edge_index`), the corners at ``u`` at
+``indptr[u]:indptr[u + 1]``, each with its step along the counter-clockwise
+walk round ``u``.
 
 The Laplacian is stored as the pair ``(L, M)``: a symmetric positive
 semidefinite stiffness matrix with constants in its kernel plus a diagonal
@@ -53,10 +60,10 @@ class TriMesh:
 
     def edges(self):
         """Sorted unique undirected edges as an (e, 2) array."""
-        f = self.faces
-        pairs = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        pairs = np.sort(pairs, axis=1)
-        return np.unique(pairs, axis=0)
+        n = self.n_vertices
+        centre, first, _ = _corners(self.faces)
+        key = np.unique(np.minimum(centre, first) * n + np.maximum(centre, first))
+        return np.stack([key // n, key % n], axis=1)
 
     def face_areas(self):
         v = self.vertices
@@ -67,6 +74,83 @@ class TriMesh:
     def mean_edge_length(self):
         e = self.edges()
         return float(np.mean(np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)))
+
+
+def _corners(faces):
+    """Face corners ``(centre, first, second)`` in face order: face
+    ``(a, b, c)`` gives ``(a, b, c)``, ``(b, c, a)`` and ``(c, a, b)``, so the
+    half-edge ``centre -> first`` runs along the face's orientation."""
+    return faces.ravel(), np.roll(faces, -1, axis=1).ravel(), np.roll(faces, -2, axis=1).ravel()
+
+
+@dataclass(frozen=True)
+class HalfEdgeIndex:
+    """Face corners sorted by ``centre * n + first``; the corners at ``u``
+    are rows ``indptr[u]:indptr[u + 1]``.  ``step`` numbers each corner along
+    the counter-clockwise walk round its centre, and ``boundary`` flags the
+    vertices whose star is an open fan."""
+
+    centre: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    indptr: np.ndarray
+    step: np.ndarray
+    boundary: np.ndarray
+
+    def walk(self, u):
+        """Rows of the corners at ``u`` in walk order."""
+        return self.indptr[u] + np.argsort(self.step[self.indptr[u]:self.indptr[u + 1]])
+
+    def ring(self, u):
+        """One-ring of ``u`` in walk order; an open fan ends with the second
+        vertex of its last corner."""
+        rows = self.walk(u)
+        ring = self.first[rows]
+        return np.append(ring, self.second[rows[-1]]) if self.boundary[u] else ring
+
+
+def half_edge_index(mesh):
+    """Build the :class:`HalfEdgeIndex` of ``mesh``.
+
+    The corner after ``(u, b, c)`` round ``u`` is the one keyed ``(u, c)``.
+    Each walk starts at the lowest neighbour ``b`` with no corner before it
+    (an open fan) or else at the lowest neighbour (a cycle).  Raises
+    ``ValueError`` naming the vertex when a directed edge repeats (a flipped
+    face or a non-manifold edge) or when one walk does not cover the star.
+    """
+    n = mesh.n_vertices
+    centre, first, second = _corners(mesh.faces)
+    key = centre * n + first
+    order = np.argsort(key)
+    centre, first, second, key = centre[order], first[order], second[order], key[order]
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        raise ValueError(f"vertex {centre[repeated[0]]} has a non-manifold star")
+    indptr = np.searchsorted(centre, np.arange(n + 1))
+    target = centre * n + second
+    succ = np.minimum(np.searchsorted(key, target), key.size - 1)
+    succ[key[succ] != target] = -1
+    has_pred = np.zeros(key.size, dtype=bool)
+    has_pred[succ[succ >= 0]] = True
+    # rows are sorted by neighbour within a star, so the first row without a
+    # predecessor holds the lowest such neighbour
+    open_rows = np.flatnonzero(~has_pred)
+    fans, first_open = np.unique(centre[open_rows], return_index=True)
+    boundary = np.zeros(n, dtype=bool)
+    boundary[fans] = True
+    start = indptr[:-1].copy()
+    start[fans] = open_rows[first_open]
+    cur = start[indptr[:-1] < indptr[1:]]
+    step = np.full(key.size, -1)
+    for k in range(int(np.diff(indptr).max(initial=0))):
+        step[cur] = k
+        cur = succ[cur]
+        cur = cur[cur >= 0]
+        cur = cur[step[cur] < 0]  # a cycle stops on returning to its start
+    if np.any(step < 0):
+        raise ValueError(f"vertex {centre[np.argmax(step < 0)]} has a non-manifold star")
+    return HalfEdgeIndex(centre=centre, first=first, second=second, indptr=indptr,
+                         step=step, boundary=boundary)
 
 
 @dataclass
@@ -83,60 +167,38 @@ class ManifoldReport:
                     or self.nonmanifold_vertices or self.orientation_conflicts)
 
 
+def _pairs(keys, n):
+    return list(zip((keys // n).tolist(), (keys % n).tolist()))
+
+
 def validate_manifold(mesh):
     """Flag non-manifold edges (more than two incident faces), boundary
     edges (exactly one), vertices whose link is not a single path or loop,
-    and directed edges traversed twice in the same direction."""
-    edge_faces = {}
-    directed_seen = {}
-    orientation_conflicts = []
-    for fi, (a, b, c) in enumerate(mesh.faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_faces.setdefault((min(u, v), max(u, v)), []).append(fi)
-            if (u, v) in directed_seen:
-                orientation_conflicts.append((int(u), int(v)))
-            directed_seen[(u, v)] = fi
-    nonmanifold_edges = [e for e, fs in edge_faces.items() if len(fs) > 2]
-    boundary_edges = [e for e, fs in edge_faces.items() if len(fs) == 1]
-
-    nonmanifold_vertices = []
-    incident = [[] for _ in range(mesh.n_vertices)]
-    for fi, face in enumerate(mesh.faces):
-        for u in face:
-            incident[u].append(fi)
-    for u in range(mesh.n_vertices):
-        if not incident[u]:
-            continue
-        # link edges: the sides opposite u in each incident face
-        link = []
-        for fi in incident[u]:
-            others = [int(w) for w in mesh.faces[fi] if w != u]
-            link.append(tuple(others))
-        # walk the link; a manifold star is a single open path or cycle
-        adj = {}
-        for a, b in link:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if any(len(nbrs) > 2 for nbrs in adj.values()):
-            nonmanifold_vertices.append(u)
-            continue
-        start = next((w for w, nbrs in adj.items() if len(nbrs) == 1), next(iter(adj)))
-        seen = {start}
-        prev, cur = None, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            if cur in seen:
-                break
-            seen.add(cur)
-        if len(seen) != len(adj):
-            nonmanifold_vertices.append(u)
+    and each repeat of a directed edge (traversed twice in one direction)."""
+    n = mesh.n_vertices
+    centre, first, second = _corners(mesh.faces)
+    directed, count = np.unique(centre * n + first, return_counts=True)
+    orientation_conflicts = _pairs(np.repeat(directed, count - 1), n)
+    undirected, count = np.unique(np.minimum(centre, first) * n + np.maximum(centre, first),
+                                  return_counts=True)
+    # the link of u ignores orientation: an edge (first, second) per corner at
+    # u; it is one path or cycle when no link vertex has more than two link
+    # edges and the link is connected.  csgraph is imported here because it
+    # loads scipy.sparse.linalg, which importing the package does not need
+    from scipy.sparse.csgraph import connected_components
+    m = centre.size
+    link, ends, degree = np.unique(np.concatenate([centre * n + first, centre * n + second]),
+                                   return_inverse=True, return_counts=True)
+    graph = sp.coo_matrix((np.ones(m), (ends[:m], ends[m:])), shape=(link.size, link.size))
+    _, label = connected_components(graph, directed=False)
+    _, one_per_component = np.unique(label, return_index=True)
+    owner = link // n
+    bad = (np.bincount(owner[one_per_component], minlength=n) > 1) \
+        | (np.bincount(owner[degree > 2], minlength=n) > 0)
     return ManifoldReport(
-        nonmanifold_edges=nonmanifold_edges,
-        boundary_edges=boundary_edges,
-        nonmanifold_vertices=nonmanifold_vertices,
+        nonmanifold_edges=_pairs(undirected[count > 2], n),
+        boundary_edges=_pairs(undirected[count == 1], n),
+        nonmanifold_vertices=np.flatnonzero(bad).tolist(),
         orientation_conflicts=orientation_conflicts,
     )
 
@@ -191,43 +253,32 @@ class LaplacianPair:
             (-1,) + (1,) * (np.ndim(x) - 1))
 
 
-def _assemble_pair(n, faces, cot_weights, face_areas, mean_edge):
-    """Shared assembly: per-face per-edge half-cotangents into L, barycentric
-    thirds of face areas into M."""
-    floor = AREA_FLOOR * mean_edge**2
-    if np.any(face_areas < floor):
+def _check_areas(face_areas, mean_edge):
+    """Refuse any triangle below ``AREA_FLOOR * mean_edge**2``; assembly runs
+    this before a cotangent is divided by an area."""
+    if np.any(face_areas < AREA_FLOOR * mean_edge**2):
         bad = int(np.argmin(face_areas))
         raise ValueError(f"degenerate triangle {bad}: area {face_areas[bad]:.3e}")
-    off_diag = [dict() for _ in range(n)]
-    for (a, b, c), (wa, wb, wc) in zip(faces, cot_weights):
-        # w* is half the cotangent of the angle at that corner, written
-        # against the edge opposite it
-        for (u, v), w in (((b, c), wa), ((a, c), wb), ((a, b), wc)):
-            off_diag[u][v] = off_diag[u].get(v, 0.0) - w
-            off_diag[v][u] = off_diag[v].get(u, 0.0) - w
-    # The diagonal is the negated left-to-right sum of the row's off-diagonal
+
+
+def _assemble_pair(n, faces, cot_weights, face_areas):
+    """Shared assembly: per-face per-edge half-cotangents into L, barycentric
+    thirds of face areas into M.  ``cot_weights[f, i]`` is half the cotangent
+    of the angle at corner ``i`` of face ``f``, written against the edge
+    opposite it: the edge (first, second) of that corner."""
+    _, first, second = _corners(faces)
+    w = -np.tile(cot_weights.ravel(), 2)
+    off = sp.coo_matrix((w, (np.concatenate([first, second]), np.concatenate([second, first]))),
+                        shape=(n, n)).tocsr()
+    # The diagonal is the negated storage-order sum of the row's off-diagonal
     # entries and is stored after them, so the sparse matvec (which folds
     # entries in storage order) cancels each row against it bit-exactly:
     # constants lie in the kernel not just approximately but as floats.
-    indices, data, indptr = [], [], [0]
-    for u in range(n):
-        acc = 0.0
-        for v in sorted(off_diag[u]):
-            w = off_diag[u][v]
-            indices.append(v)
-            data.append(w)
-            acc += w
-        indices.append(u)
-        data.append(-acc)
-        indptr.append(len(indices))
-    stiffness = sp.csr_matrix(
-        (np.array(data), np.array(indices), np.array(indptr)), shape=(n, n))
-    mass_diag = np.zeros(n)
-    for (a, b, c), area in zip(faces, face_areas):
-        share = area / 3.0
-        mass_diag[a] += share
-        mass_diag[b] += share
-        mass_diag[c] += share
+    row_ends = off.indptr[1:]
+    stiffness = sp.csr_matrix((np.insert(off.data, row_ends, -(off @ np.ones(n))),
+                               np.insert(off.indices, row_ends, np.arange(n)),
+                               off.indptr + np.arange(n + 1)), shape=(n, n))
+    mass_diag = np.bincount(faces.ravel(), weights=np.repeat(face_areas / 3.0, 3), minlength=n)
     if np.any(mass_diag <= 0):
         raise ValueError("mesh has a vertex with no incident face")
     return LaplacianPair(stiffness=stiffness, mass=sp.diags(mass_diag).tocsr())
@@ -244,18 +295,14 @@ def cotan_laplacian(mesh):
     v = mesh.vertices
     f = mesh.faces
     areas = mesh.face_areas()
-    mean_edge = mesh.mean_edge_length()
-    floor = AREA_FLOOR * mean_edge**2
-    if np.any(areas < floor):
-        bad = int(np.argmin(areas))
-        raise ValueError(f"degenerate triangle {bad}: area {areas[bad]:.3e}")
+    _check_areas(areas, mesh.mean_edge_length())
     cots = np.empty((mesh.n_faces, 3))
     for corner, (i, j, k) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1))):
         e1 = v[f[:, j]] - v[f[:, i]]
         e2 = v[f[:, k]] - v[f[:, i]]
         cross = np.linalg.norm(np.cross(e1, e2), axis=1)
         cots[:, corner] = 0.5 * np.einsum("ij,ij->i", e1, e2) / cross
-    return _assemble_pair(mesh.n_vertices, f, cots, areas, mean_edge)
+    return _assemble_pair(mesh.n_vertices, f, cots, areas)
 
 
 def cotan_laplacian_intrinsic(metric):
@@ -263,24 +310,16 @@ def cotan_laplacian_intrinsic(metric):
     weights ``(-l_uv^2 + l_vq^2 + l_uq^2) / (8 a)`` with Heron areas."""
     _check_triangle_inequality(metric)
     faces = metric.faces
-    n = int(faces.max()) + 1
-    cots = np.empty((faces.shape[0], 3))
-    areas = np.empty(faces.shape[0])
-    all_lengths = []
-    for fi, (a, b, c) in enumerate(faces):
-        la = metric.length(b, c)  # opposite corner a
-        lb = metric.length(a, c)
-        lc = metric.length(a, b)
-        s = 0.5 * (la + lb + lc)
-        area = np.sqrt(s * (s - la) * (s - lb) * (s - lc))
-        areas[fi] = area
-        # half-cotangent at each corner, written against its opposite edge
-        cots[fi, 0] = (-la**2 + lb**2 + lc**2) / (8.0 * area)
-        cots[fi, 1] = (-lb**2 + la**2 + lc**2) / (8.0 * area)
-        cots[fi, 2] = (-lc**2 + la**2 + lb**2) / (8.0 * area)
-        all_lengths.extend((la, lb, lc))
-    mean_edge = float(np.mean(all_lengths))
-    return _assemble_pair(n, faces, cots, areas, mean_edge)
+    # per face, the lengths of the edges opposite corners a, b and c
+    lengths = np.array([[metric.length(b, c), metric.length(a, c), metric.length(a, b)]
+                        for a, b, c in faces])
+    la, lb, lc = lengths.T
+    s = 0.5 * (la + lb + lc)
+    areas = np.sqrt(s * (s - la) * (s - lb) * (s - lc))
+    _check_areas(areas, float(np.mean(lengths)))
+    cots = np.stack([-la**2 + lb**2 + lc**2, -lb**2 + la**2 + lc**2, -lc**2 + la**2 + lb**2],
+                    axis=1) / (8.0 * areas[:, None])
+    return _assemble_pair(int(faces.max()) + 1, faces, cots, areas)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +374,9 @@ def jitter_mesh(mesh, epsilon, seed):
     """Displace each vertex by an independent uniform vector of norm at most
     ``epsilon * mean edge length``; connectivity unchanged, determinism from
     the seed.  Raises if the perturbation degenerates a face."""
-    if not (0 <= epsilon < 0.1):
+    if not epsilon >= 0:
+        raise ValueError(f"jitter amplitude must be non-negative, got {epsilon}")
+    if epsilon >= 0.1:
         raise ValueError("jitter amplitude must be below 0.1")
     rng = substream(seed, "mesh-jitter")
     n = mesh.n_vertices
@@ -344,9 +385,7 @@ def jitter_mesh(mesh, epsilon, seed):
     radius = mesh.mean_edge_length() * epsilon * rng.uniform(size=n) ** (1.0 / 3.0)
     jittered = TriMesh(vertices=mesh.vertices + radius[:, None] * direction,
                        faces=mesh.faces.copy())
-    floor = AREA_FLOOR * jittered.mean_edge_length() ** 2
-    if np.any(jittered.face_areas() < floor):
-        raise ValueError("jitter produced a degenerate face")
+    _check_areas(jittered.face_areas(), jittered.mean_edge_length())
     return jittered
 
 

@@ -10,9 +10,11 @@ import sys
 import pytest
 
 import gdlkit
+from gdlkit import mesh_core
 from gdlkit.cli import dispatch
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdlkit.__file__)))
+FLIPPED = "<icosphere 2 with face 0 reversed, as OFF>"
 
 
 def run(capsys, argv):
@@ -47,8 +49,20 @@ def test_usage_error_exits_2(capsys):
     (["gnn", "equivariance", "--n", "0"], "--n and --trials must be at least 1"),
     (["egnn", "equivariance", "--trials", "0"], "--n and --trials must be at least 1"),
     (["egnn", "equivariance", "--n", "0"], "--n and --trials must be at least 1"),
+    (["mesh", "spectrum", "--mesh", FLIPPED], "orientation conflict on directed edge"),
+    (["rnn", "shift-equivariance", "--m", "0"], "--T and --m must be at least 1"),
+    (["rnn", "shift-equivariance", "--T", "0"], "--T and --m must be at least 1"),
+    (["lstm", "chrono", "--m", "0"], "--m must be at least 1"),
+    (["mesh", "stability", "--epsilon", "-1"], "jitter amplitude must be non-negative"),
 ])
-def test_bad_input_exits_2_with_one_line_reason(capsys, argv, reason):
+def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
+    if FLIPPED in argv:
+        mesh = mesh_core.icosphere(2)
+        faces = mesh.faces.copy()
+        faces[0] = faces[0, ::-1]
+        path = str(tmp_path / "flipped.off")
+        mesh_core.save_mesh(path, mesh_core.TriMesh(vertices=mesh.vertices, faces=faces))
+        argv = [path if arg == FLIPPED else arg for arg in argv]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -59,6 +73,7 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, argv, reason):
 @pytest.mark.parametrize("argv", [
     ["gnn", "equivariance", "--flavour", "attn", "--n", "8", "--trials", "3"],
     ["egnn", "equivariance", "--n", "7", "--trials", "3"],
+    ["gauge", "equivariance", "--mesh", "icosphere:2", "--bins", "4"],
 ])
 def test_reports_byte_identical_across_hash_seeds(argv):
     reports = []

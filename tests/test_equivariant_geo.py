@@ -123,7 +123,76 @@ def flat_hexagon_patch():
     return mesh_core.TriMesh(vertices=verts, faces=faces)
 
 
+def loop_rings(mesh):
+    """Reference one-rings from per-vertex successor dicts: face corners
+    (u, v, w) give the link edge v -> w; an open fan starts at its lowest
+    predecessor-less neighbour, a cycle at its lowest neighbour."""
+    succ = [dict() for _ in range(mesh.n_vertices)]
+    for a, b, c in mesh.faces:
+        succ[a][int(b)] = int(c)
+        succ[b][int(c)] = int(a)
+        succ[c][int(a)] = int(b)
+    rings, boundary = [], []
+    for nxt in succ:
+        starts = set(nxt) - set(nxt.values())
+        ring = [min(starts) if starts else min(nxt)]
+        while ring[-1] in nxt and nxt[ring[-1]] != ring[0]:
+            ring.append(nxt[ring[-1]])
+        rings.append(ring)
+        boundary.append(bool(starts))
+    return rings, boundary
+
+
+def loop_frames_and_log_map(mesh):
+    """Reference frames (normals accumulated face by face, e1 toward the
+    lowest neighbour) and polar angles (each star unrolled vertex by vertex)."""
+    v = mesh.vertices
+    rings, boundary = loop_rings(mesh)
+    normals = np.zeros((mesh.n_vertices, 3))
+    for a, b, c in mesh.faces:
+        for u in (a, b, c):
+            normals[u] += np.cross(v[b] - v[a], v[c] - v[a])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    e1 = np.empty_like(normals)
+    theta, radius = {}, {}
+    for u, ring in enumerate(rings):
+        edge = v[min(ring)] - v[u]
+        proj = edge - (edge @ normals[u]) * normals[u]
+        e1[u] = proj / np.linalg.norm(proj)
+        m = len(ring)
+        corners = []
+        for i in range(m - 1 if boundary[u] else m):
+            a, b = v[ring[i]] - v[u], v[ring[(i + 1) % m]] - v[u]
+            corners.append(np.arccos(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)),
+                                             -1.0, 1.0)))
+        scale = TWO_PI / sum(corners)
+        cumulative = [0.0]
+        for corner in corners[:m - 1]:
+            cumulative.append(cumulative[-1] + corner * scale)
+        offset = cumulative[ring.index(min(ring))]
+        for nbr, angle in zip(ring, cumulative):
+            theta[(u, nbr)] = (angle - offset) % TWO_PI
+            radius[(u, nbr)] = np.linalg.norm(v[nbr] - v[u])
+    return e1, normals, theta, radius, [u for u, b in enumerate(boundary) if b]
+
+
 class TestFramesAndLogMap:
+    @pytest.mark.parametrize("mesh", [
+        mesh_core.jitter_mesh(mesh_core.icosphere(2), 0.05, seed=12), flat_hexagon_patch()],
+        ids=["jittered-icosphere2", "hexagon-fan"])
+    def test_matches_per_vertex_loops(self, mesh):
+        frames = geo.tangent_frames(mesh)
+        conn = geo.one_ring_log_map(mesh, frames)
+        e1, normals, theta, radius, boundary = loop_frames_and_log_map(mesh)
+        assert np.max(np.abs(frames.e1 - e1)) <= 1e-12
+        assert np.max(np.abs(frames.normal - normals)) <= 1e-12
+        assert list(conn.theta) == list(theta) and list(conn.radius) == list(radius)
+        assert all(angle_close(conn.theta[k], theta[k], 1e-12) for k in theta)
+        assert max(abs(conn.radius[k] - radius[k]) for k in radius) <= 1e-12
+        assert conn.boundary_vertices == boundary
+        for u, ring in enumerate(loop_rings(mesh)[0]):
+            assert conn.theta[(u, min(ring))] == 0.0
+
     def test_flat_patch_normals_up(self):
         frames = geo.tangent_frames(flat_hexagon_patch())
         assert np.max(np.abs(frames.normal - np.array([0.0, 0.0, 1.0]))) <= 1e-12

@@ -6,6 +6,7 @@ from gdlkit.mesh_core import (
     cotan_laplacian,
     cotan_laplacian_intrinsic,
     discrete_metric,
+    half_edge_index,
     icosphere,
     jitter_mesh,
     load_mesh,
@@ -37,6 +38,22 @@ def flat_grid(rows, cols, spacing=1.0):
     return TriMesh(vertices=verts, faces=np.array(faces))
 
 
+def spoke_fan(spokes):
+    """Open fan of ``spokes - 1`` triangles round vertex 0 on a cone."""
+    angles = np.linspace(0.0, 1.8 * np.pi, spokes)
+    rim = np.stack([np.cos(angles), np.sin(angles), 0.3 * np.cos(3 * angles)], axis=1)
+    faces = np.array([[0, i, i + 1] for i in range(1, spokes)])
+    return TriMesh(vertices=np.vstack([[0.0, 0.0, 0.4], rim]), faces=faces)
+
+
+def flipped_icosphere():
+    """Icosphere 2 with face 0 reversed: three orientation conflicts."""
+    mesh = icosphere(2)
+    faces = mesh.faces.copy()
+    faces[0] = faces[0, ::-1]
+    return TriMesh(vertices=mesh.vertices, faces=faces)
+
+
 def random_rigid_motion(rng):
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     if np.linalg.det(q) < 0:
@@ -64,6 +81,8 @@ class TestValidateManifold:
         faces = np.array([[0, 1, 2], [0, 3, 4]])  # two triangles meeting at vertex 0 only
         report = validate_manifold(TriMesh(vertices=verts, faces=faces))
         assert 0 in report.nonmanifold_vertices
+        with pytest.raises(ValueError, match="vertex 0 has a non-manifold star"):
+            half_edge_index(TriMesh(vertices=verts, faces=faces))
 
     def test_boundary_edges_reported(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
@@ -75,6 +94,10 @@ class TestValidateManifold:
         faces = np.array([[0, 1, 2], [0, 1, 3]])  # edge (0,1) traversed twice forward
         report = validate_manifold(TriMesh(vertices=verts, faces=faces))
         assert (0, 1) in report.orientation_conflicts
+        report = validate_manifold(flipped_icosphere())
+        assert len(report.orientation_conflicts) == 3 and not report.nonmanifold_vertices
+        with pytest.raises(ValueError, match="non-manifold star"):
+            half_edge_index(flipped_icosphere())
 
 
 class TestDiscreteMetric:
@@ -113,7 +136,9 @@ class TestCotanLaplacian:
         assert abs(weight - 1.0 / np.sqrt(3.0)) <= 1e-12
 
     def test_constants_in_kernel_exactly(self):
-        for mesh in (tetrahedron(), icosphere(2), flat_grid(5, 5)):
+        # the hub row of the 12-spoke fan sums 12 off-diagonals: a pairwise sum would
+        # not cancel against the diagonal exactly
+        for mesh in (tetrahedron(), icosphere(2), flat_grid(5, 5), spoke_fan(12)):
             pair = cotan_laplacian(mesh)
             residual = pair.stiffness @ np.ones(mesh.n_vertices)
             assert not residual.any()
