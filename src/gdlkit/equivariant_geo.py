@@ -256,9 +256,13 @@ def ring_holonomy(mesh, conn, u):
     The loop runs along the ring edges, so it encloses the centre's angle
     defect plus each ring vertex's curvature share inside the star (the
     flattening rescale distributes a vertex's defect over its corners);
-    :func:`enclosed_curvature` computes that reference value.
+    :func:`enclosed_curvature` computes that reference value.  An open fan
+    (a boundary vertex) has no closed ring and is refused.
     """
-    ring = half_edge_index(mesh).ring(u).tolist()
+    index = half_edge_index(mesh)
+    if index.boundary[u]:
+        raise ValueError(f"ring of vertex {u} is not a closed loop")
+    ring = index.ring(u).tolist()
     return sum(conn.transport[(a, b)] for a, b in zip(ring, ring[1:] + ring[:1])) % TWO_PI
 
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid_signals import cross_correlate
+
 CLOSURE_CAP = 10_000
 
 
@@ -51,10 +53,11 @@ class GroupAction:
         if not np.array_equal(self.perms[g.identity], np.arange(self.domain_size)):
             raise ValueError("identity must act as the identity permutation")
         for i in range(g.order):
-            for j in range(g.order):
-                composed = self.perms[i][self.perms[j]]
-                if not np.array_equal(composed, self.perms[g.compose(i, j)]):
-                    raise ValueError(f"action not compatible with composition at ({i}, {j})")
+            # row j: g_i . (g_j . u) against (g_i g_j) . u
+            bad = np.any(self.perms[i][self.perms] != self.perms[g.table[i]], axis=1)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValueError(f"action not compatible with composition at ({i}, {j})")
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,14 @@ class Representation:
             raise ValueError("one matrix per group element required")
         if not np.allclose(self.matrices[g.identity], np.eye(self.dimension), atol=1e-10):
             raise ValueError("rho(identity) must be the identity matrix")
+        singular = np.abs(np.linalg.det(self.matrices)) < 1e-12
         for i in range(g.order):
-            if abs(np.linalg.det(self.matrices[i])) < 1e-12:
+            if singular[i]:
                 raise ValueError(f"rho(g_{i}) is singular")
-            for j in range(g.order):
-                prod = self.matrices[i] @ self.matrices[j]
-                if not np.allclose(prod, self.matrices[g.compose(i, j)], atol=1e-10):
-                    raise ValueError(f"homomorphism fails at ({i}, {j})")
+            prod = self.matrices[i] @ self.matrices
+            bad = ~np.all(np.isclose(prod, self.matrices[g.table[i]], atol=1e-10), axis=(1, 2))
+            if bad.any():
+                raise ValueError(f"homomorphism fails at ({i}, {int(np.argmax(bad))})")
 
 
 def _as_permutation(p, domain_size):
@@ -101,33 +105,30 @@ def group_from_generators(domain_size, generators):
     identity = np.arange(domain_size)
     elements = [identity]
     index = {identity.tobytes(): 0}
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for i in frontier:
-            for gen in gens:
-                candidate = elements[i][gen]  # right multiplication: g . s
-                key = candidate.tobytes()
-                if key not in index:
-                    if len(elements) >= CLOSURE_CAP:
-                        raise ValueError(f"closure exceeds cap of {CLOSURE_CAP} elements")
-                    index[key] = len(elements)
-                    elements.append(candidate)
-                    next_frontier.append(index[key])
-        frontier = next_frontier
+    parent, via = [0], [0]  # g_j = g_parent[j] s_via[j]
+    right = []  # right[i][s] = index of g_i s
+    for i, element in enumerate(elements):  # grows while it runs: breadth-first
+        row = []
+        for s, gen in enumerate(gens):
+            candidate = element[gen]  # right multiplication: g . s
+            key = candidate.tobytes()
+            if key not in index:
+                if len(elements) >= CLOSURE_CAP:
+                    raise ValueError(f"closure exceeds cap of {CLOSURE_CAP} elements")
+                index[key] = len(elements)
+                elements.append(candidate)
+                parent.append(i)
+                via.append(s)
+            row.append(index[key])
+        right.append(row)
     order = len(elements)
+    right = np.array(right, dtype=int).reshape(order, len(gens))
     table = np.empty((order, order), dtype=int)
-    for i in range(order):
-        for j in range(order):
-            composed = elements[i][elements[j]]  # (g_i g_j).u = g_i.(g_j.u)
-            table[i, j] = index[composed.tobytes()]
-    inverses = np.empty(order, dtype=int)
-    for i in range(order):
-        hits = np.where(table[i] == 0)[0]
-        if hits.shape[0] != 1:
-            raise ValueError(f"element {i} lacks a unique inverse")
-        inverses[i] = hits[0]
-    group = FiniteGroup(table=table, identity=0, inverses=inverses)
+    table[:, 0] = np.arange(order)
+    for j in range(1, order):
+        # g_i g_j = (g_i g_parent) s
+        table[:, j] = right[table[:, parent[j]], via[j]]
+    group = FiniteGroup(table=table, identity=0, inverses=np.argmax(table == 0, axis=1))
     report = verify_group_axioms(group)
     if not report.all_pass():
         raise ValueError(f"generated table violates group axioms: {report}")
@@ -175,20 +176,19 @@ def verify_group_axioms(group):
         report.witness = (e,)
         return report
     for g in range(n):
-        for h in range(n):
-            gh = table[g, h]
-            # (g h) k == g (h k) for every k, vectorised over k
-            if not np.array_equal(table[gh], table[g][table[h]]):
-                k = int(np.where(table[gh] != table[g][table[h]])[0][0])
-                report.associativity = False
-                report.witness = (g, h, k)
-                return report
-    for g in range(n):
-        hits = np.where(table[g] == e)[0]
-        if hits.shape[0] != 1 or table[hits[0], g] != e:
-            report.inverse = False
-            report.witness = (g,)
+        # (g h) k against g (h k), one row of (h, k) pairs per g
+        bad = table[table[g]] != table[g][table]
+        if bad.any():
+            h, k = np.argwhere(bad)[0]
+            report.associativity = False
+            report.witness = (g, int(h), int(k))
             return report
+    is_e = table == e
+    first = np.argmax(is_e, axis=1)
+    bad = (is_e.sum(axis=1) != 1) | (table[first, np.arange(n)] != e)
+    if bad.any():
+        report.inverse = False
+        report.witness = (int(np.argmax(bad)),)
     return report
 
 
@@ -196,9 +196,7 @@ def regular_representation(group):
     """Permutation matrices of the group acting on itself by left translation."""
     n = group.order
     matrices = np.zeros((n, n, n))
-    for g in range(n):
-        for h in range(n):
-            matrices[g, group.compose(g, h), h] = 1.0
+    matrices[np.arange(n)[:, None], group.table, np.arange(n)] = 1.0
     return Representation(group=group, matrices=matrices)
 
 
@@ -213,12 +211,7 @@ def group_convolve(x, theta, action):
     n = action.domain_size
     if x.shape != (n,) or theta.shape != (n,):
         raise ValueError("signal and filter must live on the action domain")
-    group = action.group
-    out = np.empty(group.order)
-    for g in range(group.order):
-        ginv = group.inverse(g)
-        out[g] = float(x @ theta[action.perms[ginv]])
-    return out
+    return theta[action.perms[action.group.inverses]] @ x
 
 
 def group_self_convolve(x, theta, group):
@@ -229,11 +222,7 @@ def group_self_convolve(x, theta, group):
     n = group.order
     if x.shape != (n,) or theta.shape != (n,):
         raise ValueError("signals must be indexed by group elements")
-    out = np.empty(n)
-    for g in range(n):
-        ginv = group.inverse(g)
-        out[g] = float(x @ theta[group.table[ginv]])
-    return out
+    return theta[group.table[group.inverses]] @ x
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +243,12 @@ def dna_reverse_complement_permutation(n):
     return idx[::-1][:, complement].reshape(-1)
 
 
-def _normalises_translations(perm, n, channels):
-    """True iff conjugating the unit shift by ``perm`` is again a shift."""
-    shift1 = translation_permutation(n, channels)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.shape[0])
-    conj = perm[shift1[inv]]
-    for step in range(n):
-        if np.array_equal(conj, translation_permutation(n, channels, step)):
-            return True
-    return False
+def _normalises_translations(perm, inv, n, channels):
+    """True iff conjugating the unit shift by ``perm`` (inverse ``inv``) is
+    again a shift."""
+    conj = perm[translation_permutation(n, channels)[inv]]
+    # a shift by ``step`` sends cell 0 to ``step * channels``
+    return np.array_equal(conj, translation_permutation(n, channels, conj[0] // channels))
 
 
 def transform_convolve(x, theta, h_perms):
@@ -287,18 +272,15 @@ def transform_convolve(x, theta, h_perms):
     out = np.empty((len(h_perms), n))
     for row, perm in enumerate(h_perms):
         perm = _as_permutation(perm, n * c)
-        if not _normalises_translations(perm, n, c):
+        inv = np.argsort(perm)
+        if not _normalises_translations(perm, inv, n, c):
             raise ValueError(f"subgroup element {row} does not normalise translations")
         # (rho(h) theta)_u = theta_{h^{-1} u}
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.shape[0])
         theta_h = theta.reshape(-1)[inv].reshape(n, c)
-        for k in range(n):
-            # np.roll(theta_h, k)[u] = theta_h[u - k]
-            out[row, k] = float(np.sum(x * np.roll(theta_h, k, axis=0)))
+        out[row] = sum(cross_correlate(x[:, ch], theta_h[:, ch]) for ch in range(c))
     return out
 
 
 def cayley_table_json(group):
     """Cayley table as plain nested lists (array-of-arrays of indices)."""
-    return [[int(v) for v in row] for row in group.table]
+    return group.table.tolist()

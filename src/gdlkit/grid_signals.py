@@ -27,6 +27,11 @@ def _check_signal(x):
 def circulant_apply(theta, x):
     """Circular convolution ``y_u = sum_v x_v theta_{u-v mod n}``.
 
+    Computed as the tap sum ``y = sum_k theta_k x_{. - k}`` over slices of
+    ``concat(x, x)``, without forming the n x n circulant.  Every output
+    position adds the same taps in the same order, so the result is bitwise
+    shift equivariant: ``circulant_apply(theta, shift(x, v))`` equals
+    ``shift(circulant_apply(theta, x), v)`` exactly, for any real input.
     Multi-channel signals are convolved channel-wise with the same taps.
     """
     theta = np.asarray(theta, dtype=float)
@@ -34,9 +39,11 @@ def circulant_apply(theta, x):
     n = x.shape[0]
     if theta.shape != (n,):
         raise ValueError(f"filter length {theta.shape} does not match signal length {n}")
-    u = np.arange(n)
-    c = theta[(u[:, None] - u[None, :]) % n]  # C(theta)[u, v] = theta_{u-v}
-    return c @ x
+    xx = np.concatenate([x, x])
+    y = theta[0] * x
+    for k in range(1, n):
+        y += theta[k] * xx[n - k:2 * n - k]  # xx[n - k + u] = x_{u-k mod n}
+    return y
 
 
 def reflect_filter(theta):
@@ -59,22 +66,18 @@ def shift(x, v):
 def dft(x, inverse=False):
     """Unitary DFT ``x_k = n^{-1/2} sum_u x_u e^{-2 pi i k u / n}``.
 
-    ``x`` is a single channel, real or complex.  A fast path (numpy's FFT)
-    is taken when ``n`` is a power of two; the direct O(n^2) matrix product
-    is the reference form used otherwise and as the test oracle.
+    ``x`` is a single channel, real or complex.  There is one path, numpy's
+    FFT, for every ``n``; :func:`dft_direct` is the O(n^2) test oracle.
     """
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("dft expects a single channel")
     n = x.shape[0]
-    if n >= 2 and (n & (n - 1)) == 0:
-        out = np.fft.ifft(x) * np.sqrt(n) if inverse else np.fft.fft(x) / np.sqrt(n)
-        return out
-    return dft_direct(x, inverse=inverse)
+    return np.fft.ifft(x) * np.sqrt(n) if inverse else np.fft.fft(x) / np.sqrt(n)
 
 
 def dft_direct(x, inverse=False):
-    """Direct O(n^2) form of :func:`dft`; correctness oracle for the fast path."""
+    """Direct O(n^2) form of :func:`dft`; its correctness oracle."""
     x = np.asarray(x)
     n = x.shape[0]
     sign = 1.0 if inverse else -1.0

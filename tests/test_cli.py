@@ -54,6 +54,8 @@ def test_usage_error_exits_2(capsys):
     (["rnn", "shift-equivariance", "--T", "0"], "--T and --m must be at least 1"),
     (["lstm", "chrono", "--m", "0"], "--m must be at least 1"),
     (["mesh", "stability", "--epsilon", "-1"], "jitter amplitude must be non-negative"),
+    (["group", "table", "--name", "Z0"], "cyclic order must be positive"),
+    (["group", "table", "--name", "Q8"], "unknown group name 'Q8'"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -74,6 +76,8 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     ["gnn", "equivariance", "--flavour", "attn", "--n", "8", "--trials", "3"],
     ["egnn", "equivariance", "--n", "7", "--trials", "3"],
     ["gauge", "equivariance", "--mesh", "icosphere:2", "--bins", "4"],
+    ["group", "table", "--name", "revcomp"],
+    ["fourier-instability", "--n", "1000"],
 ])
 def test_reports_byte_identical_across_hash_seeds(argv):
     reports = []

@@ -299,6 +299,14 @@ class TestTransport:
         for u in range(0, mesh.n_vertices, 7):
             assert angle_close(geo.ring_holonomy(mesh, conn, u),
                                geo.enclosed_curvature(mesh, u), 1e-8)
+        patch = flat_hexagon_patch()
+        frames = geo.tangent_frames(patch)
+        conn = geo.transport_angles(patch, frames, geo.one_ring_log_map(patch, frames))
+        assert angle_close(geo.ring_holonomy(patch, conn, 0),
+                           geo.enclosed_curvature(patch, 0), 1e-8)
+        # vertex 1 sits on the boundary: its open fan has no closed ring
+        with pytest.raises(ValueError, match="ring of vertex 1 is not a closed loop"):
+            geo.ring_holonomy(patch, conn, 1)
 
     def test_star_unfolding_holonomy_equals_angle_defect(self):
         for k in (1, 2):

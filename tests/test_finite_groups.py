@@ -13,6 +13,8 @@ from gdlkit.finite_groups import (
     translation_permutation,
     verify_group_axioms,
     FiniteGroup,
+    GroupAction,
+    Representation,
 )
 
 # one-hot DNA encoding in (A, C, G, T) order
@@ -78,7 +80,23 @@ class TestAxioms:
         bad = FiniteGroup(table=table, identity=0, inverses=group.inverses.copy())
         report = verify_group_axioms(bad)
         assert not report.all_pass()
-        assert report.witness is not None
+        assert report.witness == (1, 1, 2)  # (1 1) 2 = 1 + 2 = 3, but 1 (1 2) = 1 + 3 = 0
+
+
+# Z4 with element 1 given the action (or matrix) of element 3: it squares to
+# element 2 correctly, so the first broken pair is (1, 2).
+@pytest.mark.parametrize("make, row, source, reason", [
+    (GroupAction, 1, 3, r"action not compatible with composition at \(1, 2\)"),
+    (GroupAction, 0, 1, "identity must act as the identity permutation"),
+    (Representation, 1, None, r"rho\(g_1\) is singular"),
+    (Representation, 1, 3, r"homomorphism fails at \(1, 2\)"),
+])
+def test_caller_input_checks_name_the_first_failure(make, row, source, reason):
+    group, action = group_from_generators(4, [(np.arange(4) + 1) % 4])
+    data = (action.perms if make is GroupAction else regular_representation(group).matrices).copy()
+    data[row] = 0 if source is None else data[source]
+    with pytest.raises(ValueError, match=reason):
+        make(group, data)
 
 
 class TestRegularRepresentation:
