@@ -72,7 +72,11 @@ def _mesh_from_spec(spec):
     consistently oriented with manifold edges and vertices (boundaries are
     allowed)."""
     if spec.startswith("icosphere:"):
-        return mesh_core.icosphere(int(spec.split(":", 1)[1]))
+        try:
+            level = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"mesh spec {spec!r}: the icosphere level must be an integer") from None
+        return mesh_core.icosphere(level)
     mesh = mesh_core.load_mesh(spec)
     report = mesh_core.validate_manifold(mesh)
     for flaw, found in (("orientation conflict on directed edge", report.orientation_conflicts),
@@ -142,12 +146,15 @@ def _cmd_group_table(args, seed):
     return params, metrics, verdicts, payload
 
 
+def _random_edges(n, p, rng):
+    """Each node pair ``u < v``, in row-major order, kept with probability ``p``."""
+    u, v = np.triu_indices(n, 1)
+    keep = rng.uniform(size=u.size) < p
+    return list(zip(u[keep].tolist(), v[keep].tolist()))
+
+
 def _random_graph(n, d, rng):
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.uniform() < 0.35:
-                edges.append((u, v))
+    edges = _random_edges(n, 0.35, rng)
     features = rng.standard_normal((n, d))
     return graph_nn.graph_from_edges(n, edges, features)
 
@@ -191,23 +198,23 @@ def _cmd_mesh_spectrum(args, seed):
 
 
 def _cmd_mesh_stability(args, seed):
+    direct = args.kind == "direct-highpass"
+    if not direct and args.degree < 0:
+        raise ValueError(f"--degree must be at least 0 for --kind {args.kind}, got {args.degree}")
     mesh = _mesh_from_spec(args.mesh)
     result = spectral.perturbation_stability_experiment(
-        mesh, args.epsilon, args.kind, seed,
-        degree=None if args.kind == "direct-highpass" else args.degree)
+        mesh, args.epsilon, args.kind, seed, degree=None if direct else args.degree)
     metrics = {"discrepancy": result["discrepancy"]}
     verdicts = {}
-    if args.kind == "direct-highpass":
+    if direct:
         if args.epsilon >= 0.005:
             verdicts["direct_transfer_unstable"] = result["discrepancy"] >= 0.5
         else:
             verdicts["completed"] = np.isfinite(result["discrepancy"])
     else:
-        baseline = spectral.perturbation_stability_experiment(
-            mesh, args.epsilon, "direct-highpass", seed)
-        metrics["direct_discrepancy"] = baseline["discrepancy"]
+        metrics["direct_discrepancy"] = result["direct_discrepancy"]
         verdicts["filter_stable_vs_direct"] = (
-            result["discrepancy"] <= 0.1 * baseline["discrepancy"])
+            result["discrepancy"] <= 0.1 * result["direct_discrepancy"])
     params = {"mesh": args.mesh, "epsilon": args.epsilon,
               "kind": args.kind, "degree": args.degree}
     payload = {"mesh": args.mesh, "epsilon": args.epsilon,
@@ -218,11 +225,7 @@ def _cmd_mesh_stability(args, seed):
 def _random_geometric_graph(n, d, rng):
     positions = rng.standard_normal((n, 3))
     features = rng.standard_normal((n, d))
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.uniform() < 0.4:
-                edges.append((u, v))
+    edges = _random_edges(n, 0.4, rng)
     return geo.GeometricGraph(positions=positions, features=features, edges=edges)
 
 

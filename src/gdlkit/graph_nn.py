@@ -359,25 +359,3 @@ def wl_distinguish(g1, g2, rounds):
         if not (np.array_equal(u1, u2) and np.array_equal(n1, n2)):
             return True
     return False
-
-
-def load_graph_edgelist(path):
-    """Text format: first line ``n d``, then ``u v`` edge lines, then ``n``
-    whitespace-separated feature rows."""
-    with open(path, encoding="utf-8") as fh:
-        tokens = [line.split() for line in fh if line.strip()]
-    if not tokens:
-        raise ValueError(f"empty graph file {path}")
-    n, d = int(tokens[0][0]), int(tokens[0][1])
-    edge_lines = tokens[1:len(tokens) - n]
-    feature_lines = tokens[len(tokens) - n:]
-    if len(feature_lines) != n:
-        raise ValueError("feature row count does not match node count")
-    edges = [(int(a), int(b)) for a, b in edge_lines]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-    features = np.array([[float(t) for t in row] for row in feature_lines])
-    if features.shape != (n, d):
-        raise ValueError("feature width does not match header")
-    return graph_from_edges(n, edges, features)

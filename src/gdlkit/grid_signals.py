@@ -192,25 +192,3 @@ def modulus_instability_ratio(n, k0, sigma, s):
     warped = warp_signal(x, tau)
     zw = warped[:, 0] + 1j * warped[:, 1]
     return float(np.linalg.norm(np.abs(dft(zw)) - np.abs(dft(z))) / np.linalg.norm(z))
-
-
-def save_signal_csv(path, x):
-    """One row per position, one column per channel."""
-    x = _check_signal(x)
-    data = x if x.ndim == 2 else x[:, None]
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_signal_csv(path):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"empty signal file {path}")
-    x = np.asarray(rows)
-    return x[:, 0] if x.shape[1] == 1 else x

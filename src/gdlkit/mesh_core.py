@@ -205,13 +205,22 @@ def validate_manifold(mesh):
 
 @dataclass(frozen=True)
 class DiscreteMetric:
-    """Edge lengths keyed by sorted vertex pair, plus the face list."""
+    """Edge lengths keyed by sorted vertex pair, plus the face list; every
+    face must satisfy the strict triangle inequality."""
 
     lengths: dict
     faces: np.ndarray
 
     def length(self, u, v):
         return self.lengths[(min(u, v), max(u, v))]
+
+    def __post_init__(self):
+        for (a, b, c) in self.faces:
+            la = self.length(b, c)
+            lb = self.length(a, c)
+            lc = self.length(a, b)
+            if la + lb <= lc or la + lc <= lb or lb + lc <= la:
+                raise ValueError(f"triangle inequality violated on face ({a}, {b}, {c})")
 
 
 def discrete_metric(mesh):
@@ -222,18 +231,7 @@ def discrete_metric(mesh):
     d = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
     for (u, v), length in zip(e, d):
         lengths[(int(u), int(v))] = float(length)
-    metric = DiscreteMetric(lengths=lengths, faces=mesh.faces.copy())
-    _check_triangle_inequality(metric)
-    return metric
-
-
-def _check_triangle_inequality(metric):
-    for (a, b, c) in metric.faces:
-        la = metric.length(b, c)
-        lb = metric.length(a, c)
-        lc = metric.length(a, b)
-        if la + lb <= lc or la + lc <= lb or lb + lc <= la:
-            raise ValueError(f"triangle inequality violated on face ({a}, {b}, {c})")
+    return DiscreteMetric(lengths=lengths, faces=mesh.faces.copy())
 
 
 @dataclass(frozen=True)
@@ -308,7 +306,6 @@ def cotan_laplacian(mesh):
 def cotan_laplacian_intrinsic(metric):
     """Same operator pair computed from the discrete metric alone: per-face
     weights ``(-l_uv^2 + l_vq^2 + l_uq^2) / (8 a)`` with Heron areas."""
-    _check_triangle_inequality(metric)
     faces = metric.faces
     # per face, the lengths of the edges opposite corners a, b and c
     lengths = np.array([[metric.length(b, c), metric.length(a, c), metric.length(a, b)]

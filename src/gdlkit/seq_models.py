@@ -262,16 +262,3 @@ def time_warp_sequence(z, tau):
     on_sample = np.abs(tau - nearest) < 1e-9
     out[on_sample] = z[nearest[on_sample]]
     return out
-
-
-def load_sequence_csv(path):
-    """One row per step, comma-separated."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"empty sequence file {path}")
-    return np.asarray(rows)

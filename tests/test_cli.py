@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gdlkit
 from gdlkit import mesh_core
-from gdlkit.cli import dispatch
+from gdlkit.cli import _random_geometric_graph, _random_graph, dispatch
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdlkit.__file__)))
 FLIPPED = "<icosphere 2 with face 0 reversed, as OFF>"
@@ -56,6 +57,9 @@ def test_usage_error_exits_2(capsys):
     (["mesh", "stability", "--epsilon", "-1"], "jitter amplitude must be non-negative"),
     (["group", "table", "--name", "Z0"], "cyclic order must be positive"),
     (["group", "table", "--name", "Q8"], "unknown group name 'Q8'"),
+    (["mesh", "stability", "--kind", "cayley", "--degree", "-1"], "--degree must be at least 0"),
+    (["mesh", "stability", "--kind", "poly", "--degree", "-1"], "--degree must be at least 0"),
+    (["mesh", "spectrum", "--mesh", "icosphere:x"], "mesh spec 'icosphere:x'"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -78,6 +82,8 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     ["gauge", "equivariance", "--mesh", "icosphere:2", "--bins", "4"],
     ["group", "table", "--name", "revcomp"],
     ["fourier-instability", "--n", "1000"],
+    ["mesh", "stability", "--kind", "poly"],
+    ["mesh", "spectrum"],
 ])
 def test_reports_byte_identical_across_hash_seeds(argv):
     reports = []
@@ -91,3 +97,30 @@ def test_reports_byte_identical_across_hash_seeds(argv):
         reports.append(proc.stdout)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["seed"] == 7
+
+
+def _pairs_by_loop(n, p, rng):
+    """Oracle: one scalar uniform draw per node pair ``u < v``, row by row."""
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.uniform() < p:
+                edges.append((u, v))
+    return edges
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 150])
+def test_random_graphs_match_per_pair_draws(n):
+    rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
+    g = _random_graph(n, 5, rng)
+    edges = _pairs_by_loop(n, 0.35, oracle)
+    rows, cols = g.adjacency.nonzero()
+    assert sorted((int(a), int(b)) for a, b in zip(rows, cols) if a < b) == edges
+    assert np.array_equal(g.features, oracle.standard_normal((n, 5)))
+    assert rng.uniform() == oracle.uniform()
+
+    geo = _random_geometric_graph(n, 5, rng)
+    positions, features = oracle.standard_normal((n, 3)), oracle.standard_normal((n, 5))
+    assert geo.edges == _pairs_by_loop(n, 0.4, oracle)
+    assert np.array_equal(geo.positions, positions) and np.array_equal(geo.features, features)
+    assert rng.uniform() == oracle.uniform()

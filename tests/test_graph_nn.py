@@ -12,7 +12,6 @@ from gdlkit.graph_nn import (
     gnn_forward,
     gnn_params,
     graph_from_edges,
-    load_graph_edgelist,
     mlp_init,
     permute_graph,
     positional_encoding,
@@ -310,20 +309,3 @@ def test_tree_sum_matches_plain_sum():
     assert np.array_equal(sums[[0, 2, 4]], np.zeros((3, 4)))
     assert np.allclose(sums[[1, 3]], [rows[:5].sum(axis=0), rows[5:].sum(axis=0)], atol=1e-12)
     assert np.array_equal(tree_sum(np.zeros((0, 4)), [0, 0, 0]), np.zeros((2, 4)))
-
-
-def test_edgelist_round_trip(tmp_path):
-    path = tmp_path / "graph.txt"
-    path.write_text("3 2\n0 1\n1 2\n1.0 2.0\n3.0 4.0\n5.0 6.0\n")
-    g = load_graph_edgelist(path)
-    assert g.n == 3
-    assert np.array_equal(g.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    rows, cols = g.adjacency.nonzero()
-    assert {(min(a, b), max(a, b)) for a, b in zip(rows, cols)} == {(0, 1), (1, 2)}
-
-
-def test_edgelist_rejects_bad_edge(tmp_path):
-    path = tmp_path / "graph.txt"
-    path.write_text("2 1\n0 5\n1.0\n2.0\n")
-    with pytest.raises(ValueError, match="out of range"):
-        load_graph_edgelist(path)

@@ -273,12 +273,3 @@ class TestGaborInstability:
         ratios = [gs.modulus_instability_ratio(1024, k0, 32.0, 0.05)
                   for k0 in (8, 32, 128, 256)]
         assert all(a <= b for a, b in zip(ratios, ratios[1:]))
-
-
-def test_signal_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(19)
-    for x in (rng.standard_normal(7), rng.standard_normal((5, 3))):
-        path = tmp_path / "sig.csv"
-        gs.save_signal_csv(path, x)
-        back = gs.load_signal_csv(path)
-        assert np.array_equal(back, x)

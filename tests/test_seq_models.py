@@ -11,7 +11,6 @@ from gdlkit.seq_models import (
     gated_rnn_params,
     lstm_forward,
     lstm_params,
-    load_sequence_csv,
     pad_left,
     rnn_fixed_point,
     simple_rnn_forward,
@@ -255,10 +254,3 @@ class TestTimeWarp:
         z = np.random.default_rng(36).standard_normal((4, 1))
         with pytest.raises(ValueError, match="increasing"):
             time_warp_sequence(z, np.array([0.0, 1.0, 0.5]))
-
-
-def test_sequence_csv_loader(tmp_path):
-    path = tmp_path / "seq.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n")
-    z = load_sequence_csv(path)
-    assert np.array_equal(z, np.array([[1.0, 2.0], [3.0, 4.0]]))

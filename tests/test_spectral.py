@@ -188,6 +188,7 @@ class TestStabilityExperiment:
         for kind, degree in (("direct-highpass", None), ("poly", 4), ("cayley", 2)):
             result = perturbation_stability_experiment(mesh, 0.0, kind, seed=5, degree=degree)
             assert result["discrepancy"] <= 1e-9
+            assert result["direct_discrepancy"] <= 1e-9
 
     def test_direct_unstable_poly_stable(self):
         mesh = mesh_core.icosphere(3)
@@ -195,6 +196,7 @@ class TestStabilityExperiment:
         poly = perturbation_stability_experiment(mesh, 0.005, "poly", seed=42, degree=6)
         assert direct["discrepancy"] >= 0.5
         assert poly["discrepancy"] <= 0.1 * direct["discrepancy"]
+        assert poly["direct_discrepancy"] == direct["discrepancy"]
 
     def test_poly_discrepancy_scales_linearly(self):
         mesh = mesh_core.icosphere(3)
