@@ -181,17 +181,22 @@ def _cmd_mesh_spectrum(args, seed):
     mesh = _mesh_from_spec(args.mesh)
     pair = mesh_core.cotan_laplacian(mesh)
     basis = spectral.spectral_basis(pair, k=args.k)
-    gram = basis.vectors.T @ (basis.mass @ basis.vectors)
+    m_phi = basis.mass @ basis.vectors
+    gram = basis.vectors.T @ m_phi
     ortho = float(np.max(np.abs(gram - np.eye(basis.k))))
+    m_phi_lam = m_phi * basis.eigenvalues
+    residual = float(np.max(np.abs(basis.stiffness @ basis.vectors - m_phi_lam)))
     params = {"mesh": args.mesh, "k": args.k}
     metrics = {
         "lambda_min": float(basis.eigenvalues[0]),
         "lambda_max": float(basis.eigenvalues[-1]),
         "orthonormality_error": ortho,
+        "eigen_residual": residual,
     }
     verdicts = {
         "positive_semidefinite": basis.eigenvalues[0] >= -1e-9,
         "mass_orthonormal": ortho <= 1e-8,
+        "eigen_residual_small": residual <= 1e-8 * max(1.0, float(np.max(np.abs(m_phi_lam)))),
     }
     payload = {"eigenvalues": [float(v) for v in basis.eigenvalues]}
     return params, metrics, verdicts, payload
@@ -362,8 +367,20 @@ def _cmd_lstm_chrono(args, seed):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exact option names and one-line usage errors, for this parser and
+    every subparser it creates.  Prefix matching would read ``--k`` of
+    ``mesh spectrum`` as ``--kind`` of ``mesh stability``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(2, f"gdlkit: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gdlkit",
         description="run symmetry and stability verification experiments")
     parser.add_argument("--seed", type=int, default=None,

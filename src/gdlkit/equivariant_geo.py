@@ -190,9 +190,12 @@ class Connection:
 def one_ring_log_map(mesh, frames):
     """Fill polar coordinates by unrolling each vertex star into the plane.
 
-    Interior corner angles are accumulated in ring order and rescaled by
-    ``2 pi / total angle`` so the flattened star closes up; the offset puts
-    the frame's reference edge (lowest neighbour index) at angle zero.
+    Corner angles are accumulated in ring order.  An interior star is
+    rescaled by ``2 pi / total angle`` so the flattened star closes up; an
+    open fan at a boundary vertex keeps its angles unscaled (de Haan et al.
+    2021), since stretching it to a full turn would put its first and last
+    spokes on one direction.  The offset puts the frame's reference edge
+    (lowest neighbour index) at angle zero.
     """
     v = mesh.vertices
     index = half_edge_index(mesh)
@@ -203,7 +206,7 @@ def one_ring_log_map(mesh, frames):
     walk = np.zeros((mesh.n_vertices, int(step.max(initial=0)) + 2))
     walk[centre, step + 1] = angle
     total = np.cumsum(walk, axis=1)[centre, -1]
-    walk[centre, step + 1] = angle * (TWO_PI / total)
+    walk[centre, step + 1] = angle * np.where(index.boundary[centre], 1.0, TWO_PI / total)
     polar = np.cumsum(walk, axis=1)
     # an open fan's ring ends with the second vertex of its last corner
     fan_end = index.boundary[centre] & (step == np.diff(index.indptr)[centre] - 1)

@@ -166,6 +166,8 @@ def gabor_signal(n, k0, sigma):
 
     Returned as two channels (real, imaginary).
     """
+    if n < 1:
+        raise ValueError(f"signal length n must be at least 1, got {n}")
     if not (0 < sigma < n / 8):
         raise ValueError("sigma must lie in (0, n/8)")
     if not (0 <= k0 < n / 2):

@@ -1,5 +1,13 @@
 """Dense and sparse linear-algebra kernels shared by the rest of the package.
 
+Sparse operators stay sparse: the generalized eigensolve runs shift-invert
+Lanczos on a sparse LU, and complex solves reuse one sparse LU for every
+right-hand side.  Dense factorisations serve small matrices (``sym_eig``,
+``nullspace_basis``), the full-spectrum case ``k == n`` of
+``generalized_sym_eig``, and test oracles.  ``scipy.sparse.linalg`` is
+imported inside the functions that use it, since importing the package
+should not pay for it.
+
 Conventions used throughout:
 
 * eigenvalues are returned in ascending order;
@@ -72,12 +80,19 @@ def sym_eig(a, tol=DEFAULT_TOL):
 
 
 def generalized_sym_eig(l, m, k):
-    """Smallest ``k`` solutions of ``L phi = lambda M phi`` for diagonal M.
+    """Smallest ``k`` solutions of ``L phi = lambda M phi`` for symmetric
+    positive semidefinite L and diagonal, strictly positive M.
 
-    ``m`` must be a strictly positive diagonal matrix; the problem is
-    reduced to the standard one via D^{-1/2} L D^{-1/2} (the mass matrices
-    in this package are lumped, i.e. diagonal) and the eigenvectors are
-    rescaled so that ``Phi^T M Phi = I``.
+    The eigenpairs closest to the shift ``sigma = -1e-3`` are found by
+    shift-invert Lanczos (ARPACK ``eigsh`` on a sparse LU of
+    ``L - sigma M``), started from the pinned vector ``1/sqrt(n)`` so that
+    reruns are identical.  The shift lies below the spectrum of a positive
+    semidefinite L, so ``L - sigma M`` is positive definite and the
+    eigenvalues nearest it are the smallest.  ARPACK cannot return all
+    ``n`` pairs, so ``k == n`` reduces the problem to the dense standard one
+    ``D^{-1/2} L D^{-1/2}`` (the mass matrices in this package are lumped,
+    i.e. diagonal).  Either way the eigenvectors satisfy
+    ``Phi^T M Phi = I``.  Raises ValueError when ARPACK does not converge.
     """
     l = sp.csr_matrix(l)
     m = sp.csr_matrix(m)
@@ -92,33 +107,51 @@ def generalized_sym_eig(l, m, k):
         raise ValueError("mass matrix must be diagonal")
     if np.any(diag <= 0):
         raise ValueError("mass matrix entries must be strictly positive")
-    scale = 1.0 / np.sqrt(diag)
-    reduced = (l.multiply(scale[:, None])).multiply(scale[None, :])
-    system = sym_eig(reduced.toarray())
-    w = system.eigenvalues[:k]
-    v = system.eigenvectors[:, :k] * scale[:, None]
-    return EigenSystem(w, fix_signs(v))
-
-
-def complex_linear_solve(a, b):
-    """Solve ``a z = b`` for complex square ``a``; residual-checked.
-
-    Raises ValueError when the matrix is singular (or so close to it that
-    the residual exceeds 1e-10 relative to ``b``).
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise ValueError("incompatible shapes for linear solve")
+    if k == n:
+        scale = 1.0 / np.sqrt(diag)
+        reduced = (l.multiply(scale[:, None])).multiply(scale[None, :])
+        system = sym_eig(reduced.toarray())
+        return EigenSystem(system.eigenvalues, fix_signs(system.eigenvectors * scale[:, None]))
+    from scipy.sparse.linalg import ArpackError, eigsh
     try:
-        z = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular matrix: {exc}") from exc
-    bnorm = np.linalg.norm(b)
-    residual = np.linalg.norm(a @ z - b)
-    if not np.all(np.isfinite(z)) or residual > 1e-10 * max(bnorm, 1e-300):
-        raise ValueError(f"solve failed: relative residual {residual / max(bnorm, 1e-300):.3e}")
-    return z
+        w, v = eigsh(l.tocsc(), k=k, M=m.tocsc(), sigma=-1e-3, which="LM",
+                     v0=np.full(n, 1.0 / np.sqrt(n)))
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise ValueError(f"eigensolver did not converge for k={k}, n={n}: {exc}") from None
+    order = np.argsort(w, kind="stable")
+    return EigenSystem(w[order], fix_signs(v[:, order]))
+
+
+def complex_linear_solve(a):
+    """Sparse LU factorisation of complex square ``a``, returned as a
+    function ``solve(b)`` that solves ``a z = b`` for any number of
+    right-hand sides, each solve residual-checked.
+
+    Raises ValueError when ``a`` is singular, and ``solve`` raises it when
+    the residual exceeds 1e-10 relative to ``b``.
+    """
+    from scipy.sparse.linalg import splu
+    a = sp.csc_matrix(a, dtype=complex)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("square matrix required for linear solve")
+    try:
+        lu = splu(a)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise ValueError(f"singular matrix: {exc}") from None
+
+    def solve(b):
+        b = np.asarray(b, dtype=complex)
+        if b.shape[0] != a.shape[0]:
+            raise ValueError("incompatible shapes for linear solve")
+        z = lu.solve(b)
+        bnorm = np.linalg.norm(b)
+        residual = np.linalg.norm(a @ z - b)
+        if not np.all(np.isfinite(z)) or residual > 1e-10 * max(bnorm, 1e-300):
+            raise ValueError(
+                f"solve failed: relative residual {residual / max(bnorm, 1e-300):.3e}")
+        return z
+
+    return solve
 
 
 def nullspace_basis(a, tol=1e-7):

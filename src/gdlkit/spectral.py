@@ -5,7 +5,8 @@ jitter-stability experiment, and functional maps.
 
 The operator behind every filter is the geometric Laplacian ``M^{-1} L``;
 transfer functions are always evaluated against the generalized spectrum
-of the pair ``(L, M)``.
+of the pair ``(L, M)``.  That operator is never densified: eigenbases come
+from a sparse shift-invert solve and Cayley filters from one sparse LU.
 """
 
 from dataclasses import dataclass
@@ -140,20 +141,22 @@ def cayley_gain(coefficients, lam):
 
 
 def apply_cayley_filter(pair, coefficients, x):
-    """Cayley filter via iterated complex solves
-    ``z_l = (Delta + iI)^{-1} (Delta - iI) z_{l-1}`` with ``Delta = M^{-1}L``,
-    returning ``Re(sum_l alpha_l z_l)``."""
+    """Cayley filter ``Re(sum_l alpha_l z_l)`` with ``z_0 = x`` and
+    ``z_l = (Delta + iI)^{-1} (Delta - iI) z_{l-1}``, ``Delta = M^{-1}L``.
+
+    The Cayley transform equals ``(L + iM)^{-1} (L - iM)``, so one sparse
+    LU of ``L + iM`` serves every degree and the operator is never
+    densified."""
     coefficients = np.asarray(coefficients, dtype=complex)
     x = np.asarray(x, dtype=float)
     if x.shape[0] != pair.n:
         raise ValueError("dimension mismatch")
-    delta = pair.stiffness.toarray() / pair.mass.diagonal()[:, None]
-    plus = delta + 1j * np.eye(pair.n)
-    minus = delta - 1j * np.eye(pair.n)
     z = x.astype(complex)
     out = coefficients[0] * z
+    solve = complex_linear_solve(pair.stiffness + 1j * pair.mass)
+    minus = pair.stiffness - 1j * pair.mass
     for alpha in coefficients[1:]:
-        z = complex_linear_solve(plus, minus @ z)
+        z = solve(minus @ z)
         out = out + alpha * z
     return out.real
 

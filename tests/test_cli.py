@@ -60,6 +60,11 @@ def test_usage_error_exits_2(capsys):
     (["mesh", "stability", "--kind", "cayley", "--degree", "-1"], "--degree must be at least 0"),
     (["mesh", "stability", "--kind", "poly", "--degree", "-1"], "--degree must be at least 0"),
     (["mesh", "spectrum", "--mesh", "icosphere:x"], "mesh spec 'icosphere:x'"),
+    (["mesh", "stability", "--mesh", "icosphere:1", "--k", "3"], "unrecognized arguments: --k 3"),
+    (["mesh", "stability", "--deg", "2"], "unrecognized arguments: --deg 2"),
+    (["mesh", "spectrum", "--mesh", "icosphere:1", "--k", "43"], "k=43 out of range"),
+    (["fourier-instability", "--n", "0"], "signal length n must be at least 1"),
+    (["fourier-instability", "--n", "-5"], "signal length n must be at least 1"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -86,9 +91,24 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     ["mesh", "spectrum"],
 ])
 def test_reports_byte_identical_across_hash_seeds(argv):
+    assert_reruns_identical(argv, {})
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "stability", "--kind", "direct-highpass"],
+    ["mesh", "spectrum", "--mesh", "icosphere:4", "--k", "64"],
+])
+def test_eigensolver_reports_byte_identical_at_two_blas_threads(argv):
+    # reruns agree at one thread count; reports at 1 and 2 threads may differ
+    threads = "2"
+    assert_reruns_identical(argv, {"OPENBLAS_NUM_THREADS": threads,
+                                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads})
+
+
+def assert_reruns_identical(argv, extra_env):
     reports = []
     for hash_seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, **extra_env,
                    PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         env.pop("GDLKIT_SEED", None)
         proc = subprocess.run([sys.executable, "-m", "gdlkit.cli", "--seed", "7", *argv],

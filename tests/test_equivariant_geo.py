@@ -165,7 +165,7 @@ def loop_frames_and_log_map(mesh):
             a, b = v[ring[i]] - v[u], v[ring[(i + 1) % m]] - v[u]
             corners.append(np.arccos(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)),
                                              -1.0, 1.0)))
-        scale = TWO_PI / sum(corners)
+        scale = 1.0 if boundary[u] else TWO_PI / sum(corners)
         cumulative = [0.0]
         for corner in corners[:m - 1]:
             cumulative.append(cumulative[-1] + corner * scale)
@@ -245,6 +245,19 @@ class TestFramesAndLogMap:
             edge = patch.vertices[nbr] - patch.vertices[0]
             expected = np.arctan2(edge @ frames.e2[0], edge @ frames.e1[0]) % TWO_PI
             assert angle_close(conn.theta[(0, nbr)], expected, 1e-10)
+
+    def test_open_fans_keep_planar_angles(self):
+        # each boundary vertex of the flat patch has an open fan of two
+        # 60-degree corners; unrolled unscaled, every spoke lands on its
+        # planar polar angle, so the fan's two ends stay apart
+        mesh = flat_hexagon_patch()
+        frames = geo.tangent_frames(mesh)
+        conn = geo.one_ring_log_map(mesh, frames)
+        assert len({round(conn.theta[(1, nbr)], 9) for nbr in (0, 2, 6)}) == 3
+        for (u, nbr), angle in conn.theta.items():
+            edge = mesh.vertices[nbr] - mesh.vertices[u]
+            expected = np.arctan2(edge @ frames.e2[u], edge @ frames.e1[u]) % TWO_PI
+            assert angle_close(angle, expected, 1e-10)
 
     def test_boundary_vertices_flagged(self):
         mesh = flat_hexagon_patch()

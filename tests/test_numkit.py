@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+from gdlkit import mesh_core
 from gdlkit.numkit import (
     complex_linear_solve,
     generalized_sym_eig,
@@ -108,13 +110,51 @@ def test_generalized_rejects_bad_inputs():
         generalized_sym_eig(l, off, 2)
 
 
+def assert_matches_dense_oracle(pair, system, k):
+    """Compare with the dense generalized solve eigenvalue by eigenvalue and,
+    since degenerate eigenvectors are fixed only up to a rotation, each
+    cluster of equal oracle eigenvalues lying wholly below ``k`` by its
+    M-projector ``Phi_c Phi_c^T M``."""
+    mass = pair.mass.toarray()
+    lam, phi = sla.eigh(pair.stiffness.toarray(), mass)
+    scale = max(1.0, lam[-1])
+    assert np.max(np.abs(system.eigenvalues - lam[:k])) <= 1e-9 * scale
+    starts = np.flatnonzero(np.diff(lam) > 1e-8 * scale) + 1
+    bounds = np.concatenate([[0], starts, [lam.size]])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > k:
+            break
+        ours = system.eigenvectors[:, lo:hi]
+        ref = phi[:, lo:hi]
+        assert np.max(np.abs(ours @ ours.T @ mass - ref @ ref.T @ mass)) <= 1e-7
+
+
+@pytest.mark.parametrize("mesh, k", [
+    (mesh_core.jitter_mesh(mesh_core.icosphere(3), 0.05, seed=3), 64),
+    (mesh_core.icosphere(2), 64),
+    (mesh_core.icosphere(1), 41),
+    (mesh_core.icosphere(1), 42),
+], ids=["jittered-icosphere3", "icosphere2-degenerate", "icosphere1-k-n-minus-1",
+        "icosphere1-k-n-dense"])
+def test_generalized_matches_dense_oracle_on_meshes(mesh, k):
+    # k = n - 1 is the largest input ARPACK accepts; k = n takes the dense path
+    pair = mesh_core.cotan_laplacian(mesh)
+    system = generalized_sym_eig(pair.stiffness, pair.mass, k)
+    assert system.eigenvalues.shape == (k,) and np.all(np.diff(system.eigenvalues) >= 0)
+    assert_matches_dense_oracle(pair, system, k)
+    gram = system.eigenvectors.T @ (pair.mass @ system.eigenvectors)
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
+    peak = system.eigenvectors[np.argmax(np.abs(system.eigenvectors), axis=0), np.arange(k)]
+    assert np.all(peak > 0)
+
+
 def test_complex_solve_identity():
     b = np.array([1 + 2j, 3 - 1j])
-    assert np.allclose(complex_linear_solve(np.eye(2), b), b)
+    assert np.allclose(complex_linear_solve(sp.identity(2))(b), b)
 
 
 def test_complex_solve_scalar():
-    z = complex_linear_solve(np.array([[2 + 1j]]), np.array([1.0]))
+    z = complex_linear_solve(np.array([[2 + 1j]]))(np.array([1.0]))
     assert np.allclose(z, [(2 - 1j) / 5])
 
 
@@ -124,14 +164,14 @@ def test_complex_solve_residual_diagonally_dominant():
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a += np.diag(np.full(n, 40.0 + 7.0j))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    z = complex_linear_solve(a, b)
+    z = complex_linear_solve(a)(b)
     assert np.linalg.norm(a @ z - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_complex_solve_singular_raises():
     a = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
-        complex_linear_solve(a, np.array([1.0, 0.0]))
+        complex_linear_solve(a)(np.array([1.0, 0.0]))
 
 
 def test_nullspace_full_rank_empty():

@@ -182,6 +182,25 @@ class TestTransferAndFilters:
         assert np.max(np.abs(path - spectralv)) <= 1e-6
 
 
+def test_cayley_matches_dense_solve_oracle():
+    # degree 6 on n = 642: every step against the dense complex solve of
+    # (Delta + iI) z_l = (Delta - iI) z_{l-1}, Delta = M^{-1} L
+    mesh = mesh_core.jitter_mesh(mesh_core.icosphere(3), 0.05, seed=4)
+    pair = mesh_core.cotan_laplacian(mesh)
+    rng = np.random.default_rng(14)
+    coeff = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) / np.arange(1, 8)
+    x = rng.standard_normal(pair.n)
+    delta = pair.stiffness.toarray() / pair.mass.diagonal()[:, None]
+    eye = np.eye(pair.n)
+    z = x.astype(complex)
+    expected = coeff[0] * z
+    for alpha in coeff[1:]:
+        z = np.linalg.solve(delta + 1j * eye, (delta - 1j * eye) @ z)
+        expected = expected + alpha * z
+    out = apply_cayley_filter(pair, coeff, x)
+    assert np.max(np.abs(out - expected.real)) <= 1e-8 * max(1.0, np.max(np.abs(expected.real)))
+
+
 class TestStabilityExperiment:
     def test_zero_jitter_zero_discrepancy(self):
         mesh = mesh_core.icosphere(2)
