@@ -68,9 +68,10 @@ def emit(report, path, fmt="json"):
 
 
 def _mesh_from_spec(spec):
-    """Either ``icosphere:k`` or a .off/.obj path; a loaded mesh must be
+    """Either ``icosphere:k`` or a .off/.obj path.  A loaded mesh must be
     consistently oriented with manifold edges and vertices (boundaries are
-    allowed)."""
+    allowed); building its half-edge index checks this and raises on the
+    first flaw."""
     if spec.startswith("icosphere:"):
         try:
             level = int(spec.split(":", 1)[1])
@@ -78,12 +79,7 @@ def _mesh_from_spec(spec):
             raise ValueError(f"mesh spec {spec!r}: the icosphere level must be an integer") from None
         return mesh_core.icosphere(level)
     mesh = mesh_core.load_mesh(spec)
-    report = mesh_core.validate_manifold(mesh)
-    for flaw, found in (("orientation conflict on directed edge", report.orientation_conflicts),
-                        ("non-manifold edge", report.nonmanifold_edges),
-                        ("non-manifold vertex", report.nonmanifold_vertices)):
-        if found:
-            raise ValueError(f"{spec}: {flaw} {found[0]}")
+    mesh_core.half_edge_index(mesh)
     return mesh
 
 

@@ -178,13 +178,11 @@ class Connection:
     from the frame's reference direction; ``radius[(u, v)]`` the edge
     length; ``transport[(v, u)]`` the rotation a coordinate vector picks up
     when carried from the frame at ``v`` to the frame at ``u``.
-    ``boundary_vertices`` lists vertices whose ring is an open fan.
     """
 
     theta: dict
     radius: dict
     transport: dict
-    boundary_vertices: list
 
 
 def one_ring_log_map(mesh, frames):
@@ -222,8 +220,7 @@ def one_ring_log_map(mesh, frames):
     radius = np.linalg.norm(v[nbrs] - v[us], axis=1)
     keys = list(zip(us.tolist(), nbrs.tolist()))
     return Connection(theta=dict(zip(keys, theta.tolist())),
-                      radius=dict(zip(keys, radius.tolist())), transport={},
-                      boundary_vertices=np.flatnonzero(index.boundary).tolist())
+                      radius=dict(zip(keys, radius.tolist())), transport={})
 
 
 def transport_angles(mesh, frames, conn):
@@ -237,8 +234,7 @@ def transport_angles(mesh, frames, conn):
     transport = {}
     for (u, nbr) in conn.theta:
         transport[(nbr, u)] = (conn.theta[(u, nbr)] + np.pi - conn.theta[(nbr, u)]) % TWO_PI
-    return Connection(theta=dict(conn.theta), radius=dict(conn.radius),
-                      transport=transport, boundary_vertices=list(conn.boundary_vertices))
+    return Connection(theta=dict(conn.theta), radius=dict(conn.radius), transport=transport)
 
 
 def _star_angles(mesh, u):
@@ -487,7 +483,6 @@ def gauge_transform(frames, conn, x, angles, orders):
         theta=dict(zip(conn.theta, (theta - angles[pairs[:, 0]]) % TWO_PI)),
         radius=dict(conn.radius),
         transport=dict(zip(conn.transport,
-                           (transport - angles[back[:, 1]] + angles[back[:, 0]]) % TWO_PI)),
-        boundary_vertices=list(conn.boundary_vertices))
+                           (transport - angles[back[:, 1]] + angles[back[:, 0]]) % TWO_PI)))
     new_x = np.einsum("nij,nj->ni", rep_matrix(orders, -angles), x)
     return new_frames, new_conn, new_x

@@ -1,14 +1,16 @@
-"""Oriented triangle meshes as discrete manifolds: the half-edge index,
-validation, the discrete metric, the cotangent stiffness/lumped-mass pair
-(from angles and, equivalently, from edge lengths alone), icosphere test
-geometry, controlled vertex jitter, and OFF/OBJ-subset file IO.
+"""Oriented triangle meshes as discrete manifolds: the half-edge index, the
+discrete metric, the cotangent stiffness/lumped-mass pair (from angles and,
+equivalently, from edge lengths alone), icosphere test geometry, controlled
+vertex jitter, and OFF/OBJ-subset file IO.
 
 This module owns the mesh connectivity format, the half-edge index of
 :func:`half_edge_index`: one row ``(centre u, first b, second c)`` per face
 corner, sorted by the key ``u * n + b`` (the receiver-major order of
 :func:`gdlkit.graph_nn.edge_index`), the corners at ``u`` at
 ``indptr[u]:indptr[u + 1]``, each with its step along the counter-clockwise
-walk round ``u``.
+walk round ``u``.  Building the index is the manifold check; there is no
+separate validation step.  The discrete metric is stored per face, the three
+lengths opposite each face's corners, so no code keeps an edge table.
 
 The Laplacian is stored as the pair ``(L, M)``: a symmetric positive
 semidefinite stiffness matrix with constants in its kernel plus a diagonal
@@ -114,9 +116,10 @@ def half_edge_index(mesh):
 
     The corner after ``(u, b, c)`` round ``u`` is the one keyed ``(u, c)``.
     Each walk starts at the lowest neighbour ``b`` with no corner before it
-    (an open fan) or else at the lowest neighbour (a cycle).  Raises
-    ``ValueError`` naming the vertex when a directed edge repeats (a flipped
-    face or a non-manifold edge) or when one walk does not cover the star.
+    (an open fan) or else at the lowest neighbour (a cycle).  This is the
+    manifold check: it raises ``ValueError`` naming the lowest directed edge
+    that repeats (a flipped face or an edge with more than two faces), and
+    naming the vertex when one walk does not cover its star (a bowtie).
     """
     n = mesh.n_vertices
     centre, first, second = _corners(mesh.faces)
@@ -125,7 +128,9 @@ def half_edge_index(mesh):
     centre, first, second, key = centre[order], first[order], second[order], key[order]
     repeated = np.flatnonzero(key[1:] == key[:-1])
     if repeated.size:
-        raise ValueError(f"vertex {centre[repeated[0]]} has a non-manifold star")
+        u, b = centre[repeated[0]], first[repeated[0]]
+        raise ValueError(f"orientation conflict on directed edge ({u}, {b}): "
+                         "a flipped face or an edge with more than two faces")
     indptr = np.searchsorted(centre, np.arange(n + 1))
     target = centre * n + second
     succ = np.minimum(np.searchsorted(key, target), key.size - 1)
@@ -153,85 +158,41 @@ def half_edge_index(mesh):
                          step=step, boundary=boundary)
 
 
-@dataclass
-class ManifoldReport:
-    """Findings of :func:`validate_manifold`; empty lists mean clean."""
-
-    nonmanifold_edges: list
-    boundary_edges: list
-    nonmanifold_vertices: list
-    orientation_conflicts: list
-
-    def is_clean_closed(self):
-        return not (self.nonmanifold_edges or self.boundary_edges
-                    or self.nonmanifold_vertices or self.orientation_conflicts)
-
-
-def _pairs(keys, n):
-    return list(zip((keys // n).tolist(), (keys % n).tolist()))
-
-
-def validate_manifold(mesh):
-    """Flag non-manifold edges (more than two incident faces), boundary
-    edges (exactly one), vertices whose link is not a single path or loop,
-    and each repeat of a directed edge (traversed twice in one direction)."""
-    n = mesh.n_vertices
-    centre, first, second = _corners(mesh.faces)
-    directed, count = np.unique(centre * n + first, return_counts=True)
-    orientation_conflicts = _pairs(np.repeat(directed, count - 1), n)
-    undirected, count = np.unique(np.minimum(centre, first) * n + np.maximum(centre, first),
-                                  return_counts=True)
-    # the link of u ignores orientation: an edge (first, second) per corner at
-    # u; it is one path or cycle when no link vertex has more than two link
-    # edges and the link is connected.  csgraph is imported here because it
-    # loads scipy.sparse.linalg, which importing the package does not need
-    from scipy.sparse.csgraph import connected_components
-    m = centre.size
-    link, ends, degree = np.unique(np.concatenate([centre * n + first, centre * n + second]),
-                                   return_inverse=True, return_counts=True)
-    graph = sp.coo_matrix((np.ones(m), (ends[:m], ends[m:])), shape=(link.size, link.size))
-    _, label = connected_components(graph, directed=False)
-    _, one_per_component = np.unique(label, return_index=True)
-    owner = link // n
-    bad = (np.bincount(owner[one_per_component], minlength=n) > 1) \
-        | (np.bincount(owner[degree > 2], minlength=n) > 0)
-    return ManifoldReport(
-        nonmanifold_edges=_pairs(undirected[count > 2], n),
-        boundary_edges=_pairs(undirected[count == 1], n),
-        nonmanifold_vertices=np.flatnonzero(bad).tolist(),
-        orientation_conflicts=orientation_conflicts,
-    )
-
-
 @dataclass(frozen=True)
 class DiscreteMetric:
-    """Edge lengths keyed by sorted vertex pair, plus the face list; every
-    face must satisfy the strict triangle inequality."""
+    """Edge lengths per face: ``lengths[f, i]`` is the length of the edge of
+    face ``faces[f]`` opposite its corner ``i``.  Every face must satisfy the
+    strict triangle inequality, and the faces sharing an edge must give it
+    the same length, so the metric is one length per edge."""
 
-    lengths: dict
+    lengths: np.ndarray
     faces: np.ndarray
 
-    def length(self, u, v):
-        return self.lengths[(min(u, v), max(u, v))]
-
     def __post_init__(self):
-        for (a, b, c) in self.faces:
-            la = self.length(b, c)
-            lb = self.length(a, c)
-            lc = self.length(a, b)
-            if la + lb <= lc or la + lc <= lb or lb + lc <= la:
-                raise ValueError(f"triangle inequality violated on face ({a}, {b}, {c})")
+        if self.lengths.shape != self.faces.shape:
+            raise ValueError("a metric needs one length per face corner")
+        la, lb, lc = self.lengths.T
+        bad = (la + lb <= lc) | (la + lc <= lb) | (lb + lc <= la)
+        if bad.any():
+            a, b, c = self.faces[np.argmax(bad)]
+            raise ValueError(f"triangle inequality violated on face ({a}, {b}, {c})")
+        _, first, second = _corners(self.faces)
+        n = int(self.faces.max(initial=-1)) + 1
+        key = np.minimum(first, second) * n + np.maximum(first, second)
+        order = np.argsort(key)
+        key, length = key[order], self.lengths.ravel()[order]
+        clash = np.flatnonzero((key[1:] == key[:-1]) & (length[1:] != length[:-1]))
+        if clash.size:
+            u, v = divmod(int(key[clash[0]]), n)
+            raise ValueError(f"faces disagree on the length of edge ({u}, {v})")
 
 
 def discrete_metric(mesh):
     """Euclidean edge lengths; raises when a face violates the strict
     triangle inequality (degenerate face)."""
-    lengths = {}
-    e = mesh.edges()
-    d = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
-    for (u, v), length in zip(e, d):
-        lengths[(int(u), int(v))] = float(length)
-    return DiscreteMetric(lengths=lengths, faces=mesh.faces.copy())
+    _, first, second = _corners(mesh.faces)
+    d = np.linalg.norm(mesh.vertices[second] - mesh.vertices[first], axis=1)
+    return DiscreteMetric(lengths=d.reshape(-1, 3), faces=mesh.faces.copy())
 
 
 @dataclass(frozen=True)
@@ -307,13 +268,10 @@ def cotan_laplacian_intrinsic(metric):
     """Same operator pair computed from the discrete metric alone: per-face
     weights ``(-l_uv^2 + l_vq^2 + l_uq^2) / (8 a)`` with Heron areas."""
     faces = metric.faces
-    # per face, the lengths of the edges opposite corners a, b and c
-    lengths = np.array([[metric.length(b, c), metric.length(a, c), metric.length(a, b)]
-                        for a, b, c in faces])
-    la, lb, lc = lengths.T
+    la, lb, lc = metric.lengths.T
     s = 0.5 * (la + lb + lc)
     areas = np.sqrt(s * (s - la) * (s - lb) * (s - lc))
-    _check_areas(areas, float(np.mean(lengths)))
+    _check_areas(areas, float(np.mean(metric.lengths)))
     cots = np.stack([-la**2 + lb**2 + lc**2, -lb**2 + la**2 + lc**2, -lc**2 + la**2 + lb**2],
                     axis=1) / (8.0 * areas[:, None])
     return _assemble_pair(int(faces.max()) + 1, faces, cots, areas)
@@ -342,28 +300,24 @@ def icosahedron():
 
 def icosphere(subdivisions):
     """Unit sphere by 4-way subdivision of the icosahedron with midpoint
-    reprojection; closed manifold with ``20 * 4^k`` faces."""
+    reprojection; closed manifold with ``20 * 4^k`` faces.  New midpoints are
+    numbered in the order the edges ab, bc, ca of the faces first reach them."""
     if not (0 <= subdivisions <= 6):
         raise ValueError("subdivision count must be in 0..6")
     mesh = icosahedron()
     for _ in range(subdivisions):
-        verts = [row for row in mesh.vertices]
-        cache = {}
-
-        def midpoint(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                m = (mesh.vertices[a] + mesh.vertices[b]) / 2.0
-                m = m / np.linalg.norm(m)
-                cache[key] = len(verts)
-                verts.append(m)
-            return cache[key]
-
-        faces = []
-        for a, b, c in mesh.faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-        mesh = TriMesh(vertices=np.array(verts), faces=np.array(faces, dtype=int))
+        v, f, n = mesh.vertices, mesh.faces, mesh.n_vertices
+        a, b, _ = _corners(f)
+        edge, first, inverse = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                         return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ab, bc, ca = (n + np.argsort(order)[inverse]).reshape(-1, 3).T
+        m = (v[edge[order] // n] + v[edge[order] % n]) / 2.0
+        # one dot product per midpoint, summed as np.linalg.norm sums a single
+        # vector; a row-wise norm sums in another order and moves last bits
+        m /= np.sqrt(np.vecdot(m, m))[:, None]
+        faces = np.stack([f[:, 0], ab, ca, f[:, 1], bc, ab, f[:, 2], ca, bc, ab, bc, ca], axis=1)
+        mesh = TriMesh(vertices=np.concatenate([v, m]), faces=faces.reshape(-1, 3))
     return mesh
 
 
@@ -432,7 +386,9 @@ def _load_off(path):
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != "OFF":
         raise ValueError("malformed OFF header")
-    counts = lines[1].split()
+    counts = lines[1].split() if len(lines) > 1 else []
+    if len(counts) < 2:
+        raise ValueError("truncated OFF file")
     nv, nf = int(counts[0]), int(counts[1])
     if len(lines) < 2 + nv + nf:
         raise ValueError("truncated OFF file")

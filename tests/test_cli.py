@@ -16,6 +16,7 @@ from gdlkit.cli import _random_geometric_graph, _random_graph, dispatch
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdlkit.__file__)))
 FLIPPED = "<icosphere 2 with face 0 reversed, as OFF>"
+HEADER_ONLY = "<an OFF file holding only its header line>"
 
 
 def run(capsys, argv):
@@ -65,6 +66,7 @@ def test_usage_error_exits_2(capsys):
     (["mesh", "spectrum", "--mesh", "icosphere:1", "--k", "43"], "k=43 out of range"),
     (["fourier-instability", "--n", "0"], "signal length n must be at least 1"),
     (["fourier-instability", "--n", "-5"], "signal length n must be at least 1"),
+    (["mesh", "spectrum", "--mesh", HEADER_ONLY], "truncated OFF file"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -74,6 +76,10 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
         path = str(tmp_path / "flipped.off")
         mesh_core.save_mesh(path, mesh_core.TriMesh(vertices=mesh.vertices, faces=faces))
         argv = [path if arg == FLIPPED else arg for arg in argv]
+    if HEADER_ONLY in argv:
+        path = tmp_path / "header.off"
+        path.write_text("OFF\n")
+        argv = [str(path) if arg == HEADER_ONLY else arg for arg in argv]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

@@ -189,7 +189,7 @@ class TestFramesAndLogMap:
         assert list(conn.theta) == list(theta) and list(conn.radius) == list(radius)
         assert all(angle_close(conn.theta[k], theta[k], 1e-12) for k in theta)
         assert max(abs(conn.radius[k] - radius[k]) for k in radius) <= 1e-12
-        assert conn.boundary_vertices == boundary
+        assert np.flatnonzero(mesh_core.half_edge_index(mesh).boundary).tolist() == boundary
         for u, ring in enumerate(loop_rings(mesh)[0]):
             assert conn.theta[(u, min(ring))] == 0.0
 
@@ -260,10 +260,8 @@ class TestFramesAndLogMap:
             assert angle_close(angle, expected, 1e-10)
 
     def test_boundary_vertices_flagged(self):
-        mesh = flat_hexagon_patch()
-        frames = geo.tangent_frames(mesh)
-        conn = geo.one_ring_log_map(mesh, frames)
-        assert sorted(conn.boundary_vertices) == [1, 2, 3, 4, 5, 6]
+        index = mesh_core.half_edge_index(flat_hexagon_patch())
+        assert np.flatnonzero(index.boundary).tolist() == [1, 2, 3, 4, 5, 6]
 
 
 class TestTransport:
@@ -450,8 +448,7 @@ class TestGaugeConv:
         mesh, _, conn = sphere_connection
         transport = dict(conn.transport)
         del transport[next(iter(transport))]
-        partial = geo.Connection(theta=conn.theta, radius=conn.radius, transport=transport,
-                                 boundary_vertices=conn.boundary_vertices)
+        partial = geo.Connection(theta=conn.theta, radius=conn.radius, transport=transport)
         kernel = geo.kernel_constraint_basis((0,), (0,), 4)[0]
         with pytest.raises(ValueError, match="same directed edges"):
             geo.gauge_conv(mesh, partial, kernel, np.zeros((mesh.n_vertices, 1)))

@@ -7,11 +7,11 @@ from gdlkit.mesh_core import (
     cotan_laplacian_intrinsic,
     discrete_metric,
     half_edge_index,
+    icosahedron,
     icosphere,
     jitter_mesh,
     load_mesh,
     save_mesh,
-    validate_manifold,
 )
 
 
@@ -62,57 +62,60 @@ def random_rigid_motion(rng):
 
 
 class TestValidateManifold:
+    """Building the half-edge index is the one manifold check."""
+
     def test_tetrahedron_clean_closed(self):
         mesh = tetrahedron()
-        report = validate_manifold(mesh)
-        assert report.is_clean_closed()
+        assert not half_edge_index(mesh).boundary.any()
         v, e, f = mesh.n_vertices, mesh.edges().shape[0], mesh.n_faces
         assert v - e + f == 2
 
     def test_three_faces_on_one_edge_flagged(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
-        faces = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        report = validate_manifold(TriMesh(vertices=verts, faces=faces))
-        assert (0, 1) in report.nonmanifold_edges
+        faces = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        with pytest.raises(ValueError, match=r"orientation conflict on directed edge \(0, 1\)"):
+            half_edge_index(TriMesh(vertices=verts, faces=faces))
 
     def test_bowtie_vertex_flagged(self):
         verts = np.array([
             [0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
         faces = np.array([[0, 1, 2], [0, 3, 4]])  # two triangles meeting at vertex 0 only
-        report = validate_manifold(TriMesh(vertices=verts, faces=faces))
-        assert 0 in report.nonmanifold_vertices
         with pytest.raises(ValueError, match="vertex 0 has a non-manifold star"):
             half_edge_index(TriMesh(vertices=verts, faces=faces))
 
     def test_boundary_edges_reported(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-        report = validate_manifold(TriMesh(vertices=verts, faces=np.array([[0, 1, 2]])))
-        assert len(report.boundary_edges) == 3
+        index = half_edge_index(TriMesh(vertices=verts, faces=np.array([[0, 1, 2]])))
+        assert index.boundary.all()
 
     def test_orientation_conflict(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         faces = np.array([[0, 1, 2], [0, 1, 3]])  # edge (0,1) traversed twice forward
-        report = validate_manifold(TriMesh(vertices=verts, faces=faces))
-        assert (0, 1) in report.orientation_conflicts
-        report = validate_manifold(flipped_icosphere())
-        assert len(report.orientation_conflicts) == 3 and not report.nonmanifold_vertices
-        with pytest.raises(ValueError, match="non-manifold star"):
+        with pytest.raises(ValueError, match=r"orientation conflict on directed edge \(0, 1\)"):
+            half_edge_index(TriMesh(vertices=verts, faces=faces))
+        # face 0 reversed repeats its three directed edges; the lowest is named
+        with pytest.raises(ValueError, match=r"orientation conflict on directed edge \(0, 44\)"):
             half_edge_index(flipped_icosphere())
+
+
+def metric_edge(metric, u, v):
+    """Mask of the entries of ``metric.lengths`` that hold edge (u, v)."""
+    f = metric.faces
+    ends = np.sort(np.stack([np.roll(f, -1, axis=1), np.roll(f, -2, axis=1)], axis=-1), axis=-1)
+    return np.all(ends == sorted((u, v)), axis=-1)
 
 
 class TestDiscreteMetric:
     def test_unit_equilateral(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]])
         metric = discrete_metric(TriMesh(vertices=verts, faces=np.array([[0, 1, 2]])))
-        for pair in ((0, 1), (1, 2), (0, 2)):
-            assert abs(metric.length(*pair) - 1.0) <= 1e-12
+        assert np.max(np.abs(metric.lengths - 1.0)) <= 1e-12
 
     def test_right_triangle(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         metric = discrete_metric(TriMesh(vertices=verts, faces=np.array([[0, 1, 2]])))
-        assert abs(metric.length(0, 1) - 1.0) <= 1e-15
-        assert abs(metric.length(0, 2) - 1.0) <= 1e-15
-        assert abs(metric.length(1, 2) - np.sqrt(2.0)) <= 1e-15
+        # the lengths opposite corners 0, 1 and 2: edges (1, 2), (0, 2) and (0, 1)
+        assert np.max(np.abs(metric.lengths - [[np.sqrt(2.0), 1.0, 1.0]])) <= 1e-15
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(1)
@@ -121,8 +124,15 @@ class TestDiscreteMetric:
         moved = TriMesh(vertices=mesh.vertices @ q.T + t, faces=mesh.faces)
         m1 = discrete_metric(mesh)
         m2 = discrete_metric(moved)
-        worst = max(abs(m1.lengths[k] - m2.lengths[k]) for k in m1.lengths)
-        assert worst <= 1e-12
+        assert np.max(np.abs(m1.lengths - m2.lengths)) <= 1e-12
+
+    def test_shared_edge_lengths_must_agree(self):
+        metric = discrete_metric(tetrahedron())
+        lengths = metric.lengths.copy()
+        face, corner = np.argwhere(metric_edge(metric, 0, 1))[0]
+        lengths[face, corner] *= 1.01
+        with pytest.raises(ValueError, match=r"faces disagree on the length of edge \(0, 1\)"):
+            type(metric)(lengths=lengths, faces=metric.faces)
 
 
 class TestCotanLaplacian:
@@ -189,8 +199,7 @@ class TestIntrinsicForm:
     def test_metric_scaling_law(self):
         mesh = icosphere(1)
         metric = discrete_metric(mesh)
-        scaled = type(metric)(lengths={k: 3.0 * v for k, v in metric.lengths.items()},
-                              faces=metric.faces)
+        scaled = type(metric)(lengths=3.0 * metric.lengths, faces=metric.faces)
         base = cotan_laplacian_intrinsic(metric)
         big = cotan_laplacian_intrinsic(scaled)
         assert np.max(np.abs((base.stiffness - big.stiffness).toarray())) <= 1e-10
@@ -206,16 +215,15 @@ class TestIntrinsicForm:
         faces = np.array([[0, 1, 2], [1, 0, 3]])
         m1 = discrete_metric(TriMesh(vertices=flat, faces=faces))
         m2 = discrete_metric(TriMesh(vertices=folded, faces=faces))
-        worst = max(abs(m1.lengths[k] - m2.lengths[k]) for k in m1.lengths)
-        assert worst <= 1e-12
+        assert np.max(np.abs(m1.lengths - m2.lengths)) <= 1e-12
         p1 = cotan_laplacian_intrinsic(m1)
         p2 = cotan_laplacian_intrinsic(m2)
         assert np.max(np.abs((p1.stiffness - p2.stiffness).toarray())) <= 1e-12
 
     def test_triangle_inequality_violation_rejected(self):
         metric = discrete_metric(tetrahedron())
-        bad = {k: v for k, v in metric.lengths.items()}
-        bad[(0, 1)] = 10.0
+        bad = metric.lengths.copy()
+        bad[metric_edge(metric, 0, 1)] = 10.0
         with pytest.raises(ValueError, match="triangle inequality"):
             cotan_laplacian_intrinsic(type(metric)(lengths=bad, faces=metric.faces))
 
@@ -229,7 +237,33 @@ class TestIcosphere:
     def test_face_count_and_manifold(self, k):
         mesh = icosphere(k)
         assert mesh.n_faces == 20 * 4**k
-        assert validate_manifold(mesh).is_clean_closed()
+        assert not half_edge_index(mesh).boundary.any()
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_icosphere_matches_midpoint_loop(self, k):
+        # jitter draws and report bytes follow the vertex order, so the
+        # vectorised subdivision must reproduce this loop bit for bit
+        mesh = icosahedron()
+        for _ in range(k):
+            verts = list(mesh.vertices)
+            cache = {}
+
+            def midpoint(a, b):
+                key = (min(a, b), max(a, b))
+                if key not in cache:
+                    m = (mesh.vertices[a] + mesh.vertices[b]) / 2.0
+                    cache[key] = len(verts)
+                    verts.append(m / np.linalg.norm(m))
+                return cache[key]
+
+            faces = []
+            for a, b, c in mesh.faces:
+                ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+                faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+            mesh = TriMesh(vertices=np.array(verts), faces=np.array(faces))
+        fast = icosphere(k)
+        assert np.array_equal(fast.faces, mesh.faces)
+        assert np.array_equal(fast.vertices, mesh.vertices)
 
     def test_unit_radius(self):
         mesh = icosphere(2)
@@ -253,8 +287,7 @@ class TestJitter:
         bound = 2.0 * eps * mesh.mean_edge_length()
         m1 = discrete_metric(mesh)
         m2 = discrete_metric(out)
-        worst = max(abs(m1.lengths[k] - m2.lengths[k]) for k in m1.lengths)
-        assert worst <= bound + 1e-12
+        assert np.max(np.abs(m1.lengths - m2.lengths)) <= bound + 1e-12
 
     def test_seed_determinism(self):
         mesh = icosphere(1)
