@@ -381,24 +381,45 @@ def _format_from_path(path):
     raise ValueError(f"cannot infer mesh format from {path!r}")
 
 
+def _numbers(tokens, convert, where):
+    """``convert`` each token; a bad one is named with its file line."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(convert(token))
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ValueError(f"{where}: {token!r} is not {kind}") from None
+    return values
+
+
 def _load_off(path):
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "OFF":
+        lines = [(n, ln.split()) for n, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("#")]
+    if not lines or lines[0][1] != ["OFF"]:
         raise ValueError("malformed OFF header")
-    counts = lines[1].split() if len(lines) > 1 else []
-    if len(counts) < 2:
+    if len(lines) < 2 or len(lines[1][1]) < 2:
         raise ValueError("truncated OFF file")
-    nv, nf = int(counts[0]), int(counts[1])
+    nv, nf = _numbers(lines[1][1][:2], int, f"OFF line {lines[1][0]}")
+    if min(nv, nf) < 0:
+        raise ValueError(f"OFF line {lines[1][0]}: negative vertex or face count")
     if len(lines) < 2 + nv + nf:
         raise ValueError("truncated OFF file")
-    verts = np.array([[float(t) for t in lines[2 + i].split()] for i in range(nv)])
+    verts = []
+    for n, tokens in lines[2:2 + nv]:
+        if len(tokens) != 3:
+            raise ValueError(f"OFF line {n}: a vertex needs 3 coordinates, got {len(tokens)}")
+        verts.append(_numbers(tokens, float, f"OFF line {n}"))
+    verts = np.array(verts)
     faces = []
-    for i in range(nf):
-        tokens = lines[2 + nv + i].split()
-        if int(tokens[0]) != 3:
-            raise ValueError("non-triangle face")
-        faces.append([int(t) for t in tokens[1:4]])
+    for n, tokens in lines[2 + nv:2 + nv + nf]:
+        where = f"OFF line {n}"
+        if _numbers(tokens[:1], int, where) != [3]:
+            raise ValueError(f"{where}: non-triangle face")
+        if len(tokens) < 4:
+            raise ValueError(f"{where}: a face needs 3 vertex indices, got {len(tokens) - 1}")
+        faces.append(_numbers(tokens[1:4], int, where))
     faces = np.array(faces, dtype=int)
     if faces.size and (faces.min() < 0 or faces.max() >= nv):
         raise ValueError("index out of range")
@@ -408,18 +429,22 @@ def _load_off(path):
 def _load_obj(path):
     verts, faces = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):
                 continue
+            where = f"OBJ line {n}"
             if tokens[0] == "v":
-                verts.append([float(t) for t in tokens[1:4]])
+                if len(tokens) < 4:
+                    raise ValueError(
+                        f"{where}: a vertex needs 3 coordinates, got {len(tokens) - 1}")
+                verts.append(_numbers(tokens[1:4], float, where))
             elif tokens[0] == "f":
                 if len(tokens) != 4:
-                    raise ValueError("non-triangle face")
-                idx = [int(t.split("/")[0]) for t in tokens[1:4]]
+                    raise ValueError(f"{where}: non-triangle face")
+                idx = _numbers([t.split("/")[0] for t in tokens[1:4]], int, where)
                 if any(i < 1 for i in idx):
-                    raise ValueError("index out of range")
+                    raise ValueError(f"{where}: index out of range")
                 faces.append([i - 1 for i in idx])
             # other OBJ statements are outside the supported subset
     verts = np.array(verts)

@@ -4,12 +4,22 @@ LSTM, the gated time-warping-invariant form, chrono gate initialisation,
 and dilation-style time warping of sequences.
 
 Sequences are ``(T, k)`` arrays, one row per step.
+
+Every forward recurrence runs in two phases.  The input term of a step does
+not depend on the state, so one matrix product ``z @ W.T`` projects the
+whole sequence first, with ``W`` stacking the input blocks of every gate
+(candidate, input, forget and output for the LSTM; inner update and gate
+for the gated form).  The loop then takes one stacked mat-vec ``U h`` per
+step and applies the nonlinearities in place on row slices of it, writing
+each step straight into its output row.  The bias is added after ``U h``
+and not folded into the projection: every pre-activation is rounded as
+``(W z + U h) + b``, the order of the one-step formulas
+(``SimpleRnnParams.step``, ``GatedRnnParams.gate``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .rng import substream
 
@@ -18,10 +28,12 @@ _GATE_FLOOR = np.nextafter(0.0, 1.0)
 _GATE_CEIL = np.nextafter(1.0, 0.0)
 
 
-def _logistic(x):
-    # clamped to the open unit interval as floats: gates must never reach
-    # exactly 0 or 1, which expit does in float64 beyond |x| ~ 37
-    return np.clip(expit(np.asarray(x, dtype=float)), _GATE_FLOOR, _GATE_CEIL)
+def _clamp_gates(g):
+    # in place into the open unit interval as floats: gates must never reach
+    # exactly 0 or 1, which expit does in float64 beyond |x| ~ 37 (maximum and
+    # minimum, because np.clip's wrapper costs several times as much per call)
+    np.maximum(g, _GATE_FLOOR, out=g)
+    return np.minimum(g, _GATE_CEIL, out=g)
 
 
 def _check_sequence(z):
@@ -33,6 +45,27 @@ def _check_sequence(z):
     return z
 
 
+def _matrix_widths(params, name):
+    shape = np.shape(getattr(params, name))
+    if len(shape) != 2:
+        raise ValueError(f"parameter {name} must be a matrix, got shape {shape}")
+    return shape
+
+
+def _check_params(params, m, k, inputs, states, biases):
+    """Refuse, naming the field, a parameter that is not ``(m, k)`` (input
+    matrices), ``(m, m)`` (state matrices) or ``(m,)`` (biases), or that
+    holds a non-finite value."""
+    expected = {**dict.fromkeys(inputs, (m, k)), **dict.fromkeys(states, (m, m)),
+                **dict.fromkeys(biases, (m,))}
+    for name, shape in expected.items():
+        value = getattr(params, name)
+        if np.shape(value) != shape:
+            raise ValueError(f"parameter {name} has shape {np.shape(value)}, expected {shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"non-finite values in parameter {name}")
+
+
 @dataclass(frozen=True)
 class SimpleRnnParams:
     """``h <- tanh(W z + U h + b)``."""
@@ -42,12 +75,7 @@ class SimpleRnnParams:
     b: np.ndarray
 
     def __post_init__(self):
-        m = self.b.shape[0]
-        if self.w.shape[0] != m or self.u.shape != (m, m):
-            raise ValueError("parameter shapes incompatible")
-        for p in (self.w, self.u, self.b):
-            if not np.all(np.isfinite(p)):
-                raise ValueError("non-finite parameters")
+        _check_params(self, *_matrix_widths(self, "w"), ("w",), ("u",), ("b",))
 
     @property
     def state_width(self):
@@ -79,10 +107,13 @@ def simple_rnn_forward(z, h0, params):
     h = np.asarray(h0, dtype=float)
     if z.shape[1] != params.input_width or h.shape != (params.state_width,):
         raise ValueError("width mismatch")
-    summaries = np.empty((z.shape[0], params.state_width))
-    for t in range(z.shape[0]):
-        h = params.step(z[t], h)
-        summaries[t] = h
+    summaries = z @ params.w.T
+    recurrent = np.empty(params.state_width)
+    for row in summaries:
+        np.dot(params.u, h, out=recurrent)
+        row += recurrent
+        row += params.b
+        h = np.tanh(row, out=row)
     return summaries
 
 
@@ -134,6 +165,10 @@ class LstmParams:
     b_f: np.ndarray
     b_o: np.ndarray
 
+    def __post_init__(self):
+        _check_params(self, *_matrix_widths(self, "w_c"), ("w_c", "w_i", "w_f", "w_o"),
+                      ("u_c", "u_i", "u_f", "u_o"), ("b_c", "b_i", "b_f", "b_o"))
+
     @property
     def state_width(self):
         return self.b_c.shape[0]
@@ -171,18 +206,26 @@ def lstm_forward(z, h0, c0, params):
     m = params.state_width
     if z.shape[1] != params.input_width or h.shape != (m,) or c.shape != (m,):
         raise ValueError("width mismatch")
+    from scipy.special import expit
+    projected = z @ np.vstack([params.w_c, params.w_i, params.w_f, params.w_o]).T
+    u = np.vstack([params.u_c, params.u_i, params.u_f, params.u_o])
+    b = np.concatenate([params.b_c, params.b_i, params.b_f, params.b_o])
     summaries = np.empty((z.shape[0], m))
     cells = np.empty((z.shape[0], m))
+    pre = np.empty(4 * m)
+    candidate, gates = pre[:m], pre[m:]
+    gate_i, gate_f, gate_o = pre[m:2 * m], pre[2 * m:3 * m], pre[3 * m:]
     for t in range(z.shape[0]):
-        zt = z[t]
-        candidate = np.tanh(params.w_c @ zt + params.u_c @ h + params.b_c)
-        gate_i = _logistic(params.w_i @ zt + params.u_i @ h + params.b_i)
-        gate_f = _logistic(params.w_f @ zt + params.u_f @ h + params.b_f)
-        gate_o = _logistic(params.w_o @ zt + params.u_o @ h + params.b_o)
-        c = gate_i * candidate + gate_f * c
-        h = gate_o * np.tanh(c)
-        summaries[t] = h
-        cells[t] = c
+        np.dot(u, h, out=pre)
+        pre += projected[t]
+        pre += b
+        np.tanh(candidate, out=candidate)
+        _clamp_gates(expit(gates, out=gates))
+        gate_f *= c
+        c = np.multiply(gate_i, candidate, out=cells[t])
+        c += gate_f
+        h = np.tanh(c, out=summaries[t])
+        h *= gate_o
     return summaries, cells
 
 
@@ -196,8 +239,13 @@ class GatedRnnParams:
     u_gate: np.ndarray
     b_gate: np.ndarray
 
+    def __post_init__(self):
+        _check_params(self, self.inner.state_width, self.inner.input_width,
+                      ("w_gate",), ("u_gate",), ("b_gate",))
+
     def gate(self, z, h):
-        return _logistic(self.w_gate @ z + self.u_gate @ h + self.b_gate)
+        from scipy.special import expit
+        return _clamp_gates(expit(self.w_gate @ z + self.u_gate @ h + self.b_gate))
 
 
 def gated_rnn_params(input_width, state_width, seed, gate_bias=None):
@@ -221,11 +269,25 @@ def gated_rnn_forward(z, h0, params, gate_scale=1.0):
     h = np.asarray(h0, dtype=float)
     if z.shape[1] != params.inner.input_width or h.shape != (params.inner.state_width,):
         raise ValueError("width mismatch")
-    summaries = np.empty((z.shape[0], params.inner.state_width))
+    from scipy.special import expit
+    inner, m = params.inner, params.inner.state_width
+    projected = z @ np.vstack([inner.w, params.w_gate]).T
+    u = np.vstack([inner.u, params.u_gate])
+    b = np.concatenate([inner.b, params.b_gate])
+    summaries = np.empty((z.shape[0], m))
+    pre = np.empty(2 * m)
+    update, gamma = pre[:m], pre[m:]
     for t in range(z.shape[0]):
-        gamma = gate_scale * params.gate(z[t], h)
-        h = gamma * params.inner.step(z[t], h) + (1.0 - gamma) * h
-        summaries[t] = h
+        np.dot(u, h, out=pre)
+        pre += projected[t]
+        pre += b
+        np.tanh(update, out=update)
+        _clamp_gates(expit(gamma, out=gamma))
+        gamma *= gate_scale
+        update *= gamma
+        np.subtract(1.0, gamma, out=gamma)
+        gamma *= h
+        h = np.add(update, gamma, out=summaries[t])
     return summaries
 
 

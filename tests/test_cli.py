@@ -17,6 +17,13 @@ from gdlkit.cli import _random_geometric_graph, _random_graph, dispatch
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdlkit.__file__)))
 FLIPPED = "<icosphere 2 with face 0 reversed, as OFF>"
 HEADER_ONLY = "<an OFF file holding only its header line>"
+TWO_COORDS = "<an OFF file whose second vertex has two coordinates>"
+BAD_INDEX = "<an OBJ file with the face f 1 2 x>"
+MESH_FILES = {
+    HEADER_ONLY: ("header.off", "OFF\n"),
+    TWO_COORDS: ("flat.off", "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
+    BAD_INDEX: ("bad.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n"),
+}
 
 
 def run(capsys, argv):
@@ -67,6 +74,9 @@ def test_usage_error_exits_2(capsys):
     (["fourier-instability", "--n", "0"], "signal length n must be at least 1"),
     (["fourier-instability", "--n", "-5"], "signal length n must be at least 1"),
     (["mesh", "spectrum", "--mesh", HEADER_ONLY], "truncated OFF file"),
+    (["mesh", "spectrum", "--mesh", TWO_COORDS],
+     "OFF line 4: a vertex needs 3 coordinates, got 2"),
+    (["mesh", "spectrum", "--mesh", BAD_INDEX], "OBJ line 4: 'x' is not an integer"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -76,10 +86,11 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
         path = str(tmp_path / "flipped.off")
         mesh_core.save_mesh(path, mesh_core.TriMesh(vertices=mesh.vertices, faces=faces))
         argv = [path if arg == FLIPPED else arg for arg in argv]
-    if HEADER_ONLY in argv:
-        path = tmp_path / "header.off"
-        path.write_text("OFF\n")
-        argv = [str(path) if arg == HEADER_ONLY else arg for arg in argv]
+    for placeholder, (name, text) in MESH_FILES.items():
+        if placeholder in argv:
+            path = tmp_path / name
+            path.write_text(text)
+            argv = [str(path) if arg == placeholder else arg for arg in argv]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -95,6 +106,8 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     ["fourier-instability", "--n", "1000"],
     ["mesh", "stability", "--kind", "poly"],
     ["mesh", "spectrum"],
+    ["rnn", "shift-equivariance", "--T", "200", "--m", "8"],
+    ["lstm", "chrono"],
 ])
 def test_reports_byte_identical_across_hash_seeds(argv):
     assert_reruns_identical(argv, {})

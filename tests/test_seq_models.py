@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,40 @@ from gdlkit.seq_models import (
 
 
 from scipy.special import expit as logistic  # noqa: E402 - test oracle helper
+
+
+def clamped_logistic(x):
+    return np.clip(logistic(x), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def lstm_loop(z, h, c, params):
+    """Oracle: one mat-vec per gate and block, one step at a time."""
+    summaries, cells = np.empty((len(z), len(h))), np.empty((len(z), len(h)))
+    for t, zt in enumerate(z):
+        candidate = np.tanh(params.w_c @ zt + params.u_c @ h + params.b_c)
+        gate_i = clamped_logistic(params.w_i @ zt + params.u_i @ h + params.b_i)
+        gate_f = clamped_logistic(params.w_f @ zt + params.u_f @ h + params.b_f)
+        gate_o = clamped_logistic(params.w_o @ zt + params.u_o @ h + params.b_o)
+        c = gate_i * candidate + gate_f * c
+        h = gate_o * np.tanh(c)
+        summaries[t], cells[t] = h, c
+    return summaries, cells
+
+
+def gated_rnn_loop(z, h, params, gate_scale=1.0):
+    """Oracle: separate inner and gate mat-vecs, one step at a time."""
+    inner, summaries = params.inner, np.empty((len(z), len(h)))
+    for t, zt in enumerate(z):
+        gamma = gate_scale * clamped_logistic(params.w_gate @ zt + params.u_gate @ h
+                                              + params.b_gate)
+        h = gamma * np.tanh(inner.w @ zt + inner.u @ h + inner.b) + (1.0 - gamma) * h
+        summaries[t] = h
+    return summaries
+
+
+def random_widths(rng):
+    k, m = rng.choice(np.arange(1, 13), size=2, replace=False)
+    return int(k), int(m)
 
 
 class TestSimpleRnn:
@@ -172,6 +209,34 @@ class TestLstm:
         summaries, cells = lstm_forward(z, np.zeros(3), np.zeros(3), params)
         assert np.all(np.isfinite(summaries)) and np.all(np.isfinite(cells))
 
+    @pytest.mark.parametrize("steps", [1, 2, 257])
+    @pytest.mark.parametrize("saturated", [False, True])
+    def test_matches_per_gate_loop(self, steps, saturated):
+        rng = np.random.default_rng(37 + steps)
+        k, m = random_widths(rng)
+        params = lstm_params(k, m, seed=steps)
+        if saturated:
+            params = replace(params, b_i=np.full(m, -40.0), b_f=np.full(m, 40.0),
+                             b_o=np.full(m, 40.0))
+        z = 3.0 * rng.standard_normal((steps, k))
+        h0, c0 = rng.standard_normal(m), rng.standard_normal(m)
+        summaries, cells = lstm_forward(z, h0, c0, params)
+        expected_h, expected_c = lstm_loop(z, h0, c0, params)
+        assert np.max(np.abs(summaries - expected_h)) <= 1e-13
+        assert np.max(np.abs(cells - expected_c)) <= 1e-13
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("w_f", np.zeros((3, 5)), "parameter w_f has shape (3, 5), expected (3, 2)"),
+        ("u_o", np.zeros((3, 2)), "parameter u_o has shape (3, 2), expected (3, 3)"),
+        ("b_i", np.zeros(4), "parameter b_i has shape (4,), expected (3,)"),
+        ("u_i", np.full((3, 3), np.nan), "non-finite values in parameter u_i"),
+        ("b_c", np.array([0.0, np.inf, 0.0]), "non-finite values in parameter b_c"),
+    ], ids=["w_f", "u_o", "b_i", "u_i", "b_c"])
+    def test_bad_parameters_rejected_at_construction(self, field, value, reason):
+        params = lstm_params(2, 3, seed=38)
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            replace(params, **{field: value})
+
 
 class TestGatedRnn:
     def test_gate_saturated_high_recovers_simple_rnn(self):
@@ -209,6 +274,28 @@ class TestGatedRnn:
         for _ in range(20):
             g = params.gate(rng.standard_normal(2) * 1e3, rng.standard_normal(3))
             assert np.all(g > 0.0) and np.all(g < 1.0)
+
+    @pytest.mark.parametrize("steps", [1, 2, 257])
+    @pytest.mark.parametrize("gate_bias, gate_scale", [(None, 1.0), (None, 0.5), (40.0, 1.0),
+                                                       (-40.0, 1.0)])
+    def test_matches_separate_gate_loop(self, steps, gate_bias, gate_scale):
+        rng = np.random.default_rng(39 + steps)
+        k, m = random_widths(rng)
+        params = gated_rnn_params(k, m, seed=steps, gate_bias=gate_bias)
+        z = 3.0 * rng.standard_normal((steps, k))
+        h0 = rng.standard_normal(m)
+        out = gated_rnn_forward(z, h0, params, gate_scale=gate_scale)
+        assert np.max(np.abs(out - gated_rnn_loop(z, h0, params, gate_scale))) <= 1e-13
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("w_gate", np.zeros((4, 4)), "parameter w_gate has shape (4, 4), expected (4, 3)"),
+        ("u_gate", np.zeros(4), "parameter u_gate has shape (4,), expected (4, 4)"),
+        ("b_gate", np.full(4, np.nan), "non-finite values in parameter b_gate"),
+    ], ids=["w_gate", "u_gate", "b_gate"])
+    def test_bad_parameters_rejected_at_construction(self, field, value, reason):
+        params = gated_rnn_params(3, 4, seed=40)
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            replace(params, **{field: value})
 
 
 class TestChronoInit:
