@@ -11,9 +11,11 @@ Two constructions live here:
   expressed in geodesic polar coordinates from a one-ring log map,
   features are moved between frames by parallel transport, and the filter
   matrices are constrained to a linear subspace so the output transforms
-  predictably under any per-vertex frame rotation.  One-rings, corner
-  angles and reference neighbours are read from the half-edge index of
-  :func:`gdlkit.mesh_core.half_edge_index`.
+  predictably under any per-vertex frame rotation.  One-rings and corner
+  angles are read from the half-edge index of
+  :func:`gdlkit.mesh_core.half_edge_index`, which the log map builds and
+  which checks that the mesh is manifold; reference neighbours are read
+  straight from the face corners.
 
 The rotation group is discretised to the cyclic grid ``C_N``: all angles
 entering the convolution are snapped to the grid, which makes the kernel
@@ -138,12 +140,14 @@ def _corner_angles(v, centre, a, b):
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def _reference_neighbours(index):
-    """Lowest one-ring neighbour per vertex (``n`` where there is none): the
-    frame's reference direction and the log map's angle zero."""
-    n = index.indptr.size - 1
-    ref = np.full(n, n)
-    np.minimum.at(ref, index.centre, np.minimum(index.first, index.second))
+def _reference_neighbours(mesh):
+    """Lowest one-ring neighbour per vertex (``n`` where there is none), read
+    from the face corners: the frame's reference direction and the log map's
+    angle zero."""
+    f = mesh.faces
+    ref = np.full(mesh.n_vertices, mesh.n_vertices)
+    others = np.minimum(np.roll(f, -1, axis=1), np.roll(f, -2, axis=1))
+    np.minimum.at(ref, f.ravel(), others.ravel())  # 1-D indices take ufunc.at's fast path
     return ref
 
 
@@ -159,7 +163,7 @@ def tangent_frames(mesh):
     if np.any(norms < 1e-14):
         raise ValueError("degenerate vertex star: zero normal")
     normals /= norms[:, None]
-    edge = v[_reference_neighbours(half_edge_index(mesh))] - v
+    edge = v[_reference_neighbours(mesh)] - v
     proj = edge - np.einsum("ij,ij->i", edge, normals)[:, None] * normals
     norm = np.linalg.norm(proj, axis=1)
     if np.any(norm < 1e-14):
@@ -213,7 +217,7 @@ def one_ring_log_map(mesh, frames):
     steps = np.concatenate([step, step[fan_end] + 1])
     order = np.lexsort((steps, us))
     us, nbrs, steps = us[order], nbrs[order], steps[order]
-    is_ref = nbrs == _reference_neighbours(index)[us]
+    is_ref = nbrs == _reference_neighbours(mesh)[us]
     offset = np.zeros(mesh.n_vertices)
     offset[us[is_ref]] = polar[us[is_ref], steps[is_ref]]
     theta = (polar[us, steps] - offset[us]) % TWO_PI

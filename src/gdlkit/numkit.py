@@ -1,12 +1,13 @@
 """Dense and sparse linear-algebra kernels shared by the rest of the package.
 
-Sparse operators stay sparse: the generalized eigensolve runs shift-invert
-Lanczos on a sparse LU, and complex solves reuse one sparse LU for every
-right-hand side.  Dense factorisations serve small matrices (``sym_eig``,
-``nullspace_basis``), the full-spectrum case ``k == n`` of
-``generalized_sym_eig``, and test oracles.  ``scipy.sparse.linalg`` is
-imported inside the functions that use it, since importing the package
-should not pay for it.
+Sparse operators stay sparse: the generalized eigensolve with a lumped
+(diagonal) mass matrix is reduced once to the standard problem for
+``D^{-1/2} L D^{-1/2}`` and runs shift-invert Lanczos on a sparse LU of it,
+and complex solves reuse one sparse LU for every right-hand side.  Dense
+factorisations serve small matrices (``sym_eig``, ``nullspace_basis``), the
+full-spectrum case ``k == n`` of ``generalized_sym_eig``, and test oracles.
+``scipy.sparse.linalg`` is imported inside the functions that use it, since
+importing the package should not pay for it.
 
 Conventions used throughout:
 
@@ -57,6 +58,15 @@ def fix_signs(vectors):
     return vectors * signs
 
 
+def _check_symmetric(a, tol):
+    """Raise ValueError when dense or sparse ``a`` has an asymmetry above
+    ``tol`` times its largest entry (or times 1, if that is larger)."""
+    scale = abs(a).max() if a.size else 0.0
+    asym = abs(a - a.T).max() if a.size else 0.0
+    if asym > tol * max(scale, 1.0):
+        raise ValueError(f"matrix not symmetric: max asymmetry {asym:.3e}")
+
+
 def sym_eig(a, tol=DEFAULT_TOL):
     """Eigendecomposition of a symmetric matrix.
 
@@ -68,10 +78,7 @@ def sym_eig(a, tol=DEFAULT_TOL):
         raise ValueError("square matrix required")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > tol * max(scale, 1.0):
-        raise ValueError(f"matrix not symmetric: max asymmetry {asym:.3e}")
+    _check_symmetric(a, tol)
     try:
         w, v = np.linalg.eigh((a + a.T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -83,16 +90,20 @@ def generalized_sym_eig(l, m, k):
     """Smallest ``k`` solutions of ``L phi = lambda M phi`` for symmetric
     positive semidefinite L and diagonal, strictly positive M.
 
-    The eigenpairs closest to the shift ``sigma = -1e-3`` are found by
-    shift-invert Lanczos (ARPACK ``eigsh`` on a sparse LU of
-    ``L - sigma M``), started from the pinned vector ``1/sqrt(n)`` so that
+    The mass matrices in this package are lumped (diagonal), so the problem
+    is exactly the standard one ``A y = lambda y`` with
+    ``A = D^{-1/2} L D^{-1/2}`` and ``phi = D^{-1/2} y`` (Vallet & Levy,
+    2008).  ``A`` is built once and checked for symmetry with the rule of
+    :func:`sym_eig`.  For ``k < n`` the eigenpairs of ``A`` closest to the
+    shift ``sigma = -1e-3`` are found by shift-invert Lanczos (ARPACK
+    ``eigsh`` on a sparse LU of ``A - sigma I``: one solve per step and no
+    mass products), started from the pinned vector ``1/sqrt(n)`` so that
     reruns are identical.  The shift lies below the spectrum of a positive
-    semidefinite L, so ``L - sigma M`` is positive definite and the
+    semidefinite A, so ``A - sigma I`` is positive definite and the
     eigenvalues nearest it are the smallest.  ARPACK cannot return all
-    ``n`` pairs, so ``k == n`` reduces the problem to the dense standard one
-    ``D^{-1/2} L D^{-1/2}`` (the mass matrices in this package are lumped,
-    i.e. diagonal).  Either way the eigenvectors satisfy
-    ``Phi^T M Phi = I``.  Raises ValueError when ARPACK does not converge.
+    ``n`` pairs, so ``k == n`` solves ``A`` densely with :func:`sym_eig`.
+    Either way the eigenvectors satisfy ``Phi^T M Phi = I``.  Raises
+    ValueError when ARPACK does not converge.
     """
     l = sp.csr_matrix(l)
     m = sp.csr_matrix(m)
@@ -107,19 +118,19 @@ def generalized_sym_eig(l, m, k):
         raise ValueError("mass matrix must be diagonal")
     if np.any(diag <= 0):
         raise ValueError("mass matrix entries must be strictly positive")
+    scale = 1.0 / np.sqrt(diag)
+    reduced = l.multiply(scale[:, None]).multiply(scale[None, :]).tocsr()
+    _check_symmetric(reduced, DEFAULT_TOL)
     if k == n:
-        scale = 1.0 / np.sqrt(diag)
-        reduced = (l.multiply(scale[:, None])).multiply(scale[None, :])
         system = sym_eig(reduced.toarray())
         return EigenSystem(system.eigenvalues, fix_signs(system.eigenvectors * scale[:, None]))
     from scipy.sparse.linalg import ArpackError, eigsh
     try:
-        w, v = eigsh(l.tocsc(), k=k, M=m.tocsc(), sigma=-1e-3, which="LM",
-                     v0=np.full(n, 1.0 / np.sqrt(n)))
+        w, y = eigsh(reduced, k=k, sigma=-1e-3, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)))
     except ArpackError as exc:  # ArpackNoConvergence included
         raise ValueError(f"eigensolver did not converge for k={k}, n={n}: {exc}") from None
     order = np.argsort(w, kind="stable")
-    return EigenSystem(w[order], fix_signs(v[:, order]))
+    return EigenSystem(w[order], fix_signs(y[:, order] * scale[:, None]))
 
 
 def complex_linear_solve(a):

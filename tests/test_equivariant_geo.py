@@ -263,6 +263,15 @@ class TestFramesAndLogMap:
         index = mesh_core.half_edge_index(flat_hexagon_patch())
         assert np.flatnonzero(index.boundary).tolist() == [1, 2, 3, 4, 5, 6]
 
+    def test_bowtie_refused_by_gauge_pipeline(self):
+        # frames read no half-edge index, so the log map's manifold check
+        # is the one that must refuse a bowtie
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
+        bowtie = mesh_core.TriMesh(vertices=verts, faces=np.array([[0, 1, 2], [0, 3, 4]]))
+        with pytest.raises(ValueError, match="vertex 0 has a non-manifold star"):
+            frames = geo.tangent_frames(bowtie)
+            geo.transport_angles(bowtie, frames, geo.one_ring_log_map(bowtie, frames))
+
 
 class TestTransport:
     def test_flat_mesh_aligned_frames_zero_transport(self):

@@ -108,6 +108,10 @@ def test_generalized_rejects_bad_inputs():
     off = sp.csr_matrix(np.array([[1.0, 0.5, 0], [0.5, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError, match="diagonal"):
         generalized_sym_eig(l, off, 2)
+    asym = np.diag(np.arange(1.0, 7.0))
+    asym[0, 5] = 3.0
+    with pytest.raises(ValueError, match="matrix not symmetric"):
+        generalized_sym_eig(sp.csr_matrix(asym), sp.identity(6, format="csr"), 2)
 
 
 def assert_matches_dense_oracle(pair, system, k):
@@ -129,13 +133,31 @@ def assert_matches_dense_oracle(pair, system, k):
         assert np.max(np.abs(ours @ ours.T @ mass - ref @ ref.T @ mass)) <= 1e-7
 
 
+def flattened_icosphere3():
+    """icosphere:3 with z scaled by 0.05: its lumped masses span a ratio of
+    18.8."""
+    sphere = mesh_core.icosphere(3)
+    return mesh_core.TriMesh(vertices=sphere.vertices * [1.0, 1.0, 0.05], faces=sphere.faces)
+
+
+def open_cap():
+    """The upper half of a jittered icosphere:3: an open mesh with one
+    boundary loop."""
+    sphere = mesh_core.jitter_mesh(mesh_core.icosphere(3), 0.05, seed=5)
+    keep = np.all(sphere.vertices[sphere.faces, 2] > -0.1, axis=1)
+    used, faces = np.unique(sphere.faces[keep], return_inverse=True)
+    return mesh_core.TriMesh(vertices=sphere.vertices[used], faces=faces.reshape(-1, 3))
+
+
 @pytest.mark.parametrize("mesh, k", [
     (mesh_core.jitter_mesh(mesh_core.icosphere(3), 0.05, seed=3), 64),
     (mesh_core.icosphere(2), 64),
     (mesh_core.icosphere(1), 41),
     (mesh_core.icosphere(1), 42),
+    (flattened_icosphere3(), 64),
+    (open_cap(), 32),
 ], ids=["jittered-icosphere3", "icosphere2-degenerate", "icosphere1-k-n-minus-1",
-        "icosphere1-k-n-dense"])
+        "icosphere1-k-n-dense", "anisotropic-icosphere3", "open-cap"])
 def test_generalized_matches_dense_oracle_on_meshes(mesh, k):
     # k = n - 1 is the largest input ARPACK accepts; k = n takes the dense path
     pair = mesh_core.cotan_laplacian(mesh)
