@@ -118,6 +118,9 @@ def _named_group(name):
         n = int(name[1:])
         if n < 1:
             raise ValueError("cyclic order must be positive")
+        if n > finite_groups.CLOSURE_CAP:  # refuse before closing n permutations of length n
+            raise ValueError(f"cyclic order {n} exceeds the closure cap of "
+                             f"{finite_groups.CLOSURE_CAP} elements")
         return finite_groups.group_from_generators(n, [(np.arange(n) + 1) % n])
     raise ValueError(f"unknown group name {name!r}")
 

@@ -13,7 +13,6 @@ so permuted inputs agree to near machine precision.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import substream
 
@@ -72,6 +71,7 @@ def mlp_init(widths, rng, activation="tanh"):
 def adjacency_from_edges(n, edges, undirected=True):
     """Binary CSR adjacency of an edge list in canonical form: indices
     sorted, duplicate edges collapsed, undirected edges stored both ways."""
+    import scipy.sparse as sp
     pairs = np.asarray(edges, dtype=int).reshape(-1, 2)
     if undirected:
         pairs = np.concatenate([pairs, pairs[:, ::-1]])
@@ -93,12 +93,13 @@ class Graph:
     ``adjacency`` is a canonical copy of the caller's matrix and the
     attribute ``edge_index`` its view, the one way layers read edges."""
 
-    adjacency: sp.csr_matrix
+    adjacency: "scipy.sparse.csr_matrix"
     features: np.ndarray
     undirected: bool = True
     allow_self_loops: bool = False
 
     def __post_init__(self):
+        import scipy.sparse as sp
         adj = sp.csr_matrix(self.adjacency, dtype=float, copy=True)
         adj.sum_duplicates()
         adj.eliminate_zeros()
@@ -137,9 +138,10 @@ def permute_graph(g, p):
 
     ``p[u]`` is the new label of old node ``u``.
     """
+    import scipy.sparse as sp
     p = check_permutation(p, g.n)
-    pm = sp.csr_matrix((np.ones(g.n), (p, np.arange(g.n))), shape=(g.n, g.n))
-    adj = (pm @ g.adjacency @ pm.T).tocsr()
+    receivers, senders, _ = g.edge_index
+    adj = sp.csr_matrix((g.adjacency.data, (p[receivers], p[senders])), shape=(g.n, g.n))
     feats = np.empty_like(g.features)
     feats[p] = g.features
     return Graph(adjacency=adj, features=feats, undirected=g.undirected,
@@ -280,6 +282,7 @@ def transformer_forward(x, params, use_positional=False):
     deliberately broken; without them the layer is a permutation-
     equivariant attentional GNN.
     """
+    import scipy.sparse as sp
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if use_positional:

@@ -22,7 +22,6 @@ M phi``.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import substream
 
@@ -199,8 +198,8 @@ def discrete_metric(mesh):
 class LaplacianPair:
     """Symmetric stiffness ``L`` (constants in kernel) and diagonal mass ``M``."""
 
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
+    stiffness: "scipy.sparse.csr_matrix"
+    mass: "scipy.sparse.csr_matrix"
 
     @property
     def n(self):
@@ -225,6 +224,7 @@ def _assemble_pair(n, faces, cot_weights, face_areas):
     thirds of face areas into M.  ``cot_weights[f, i]`` is half the cotangent
     of the angle at corner ``i`` of face ``f``, written against the edge
     opposite it: the edge (first, second) of that corner."""
+    import scipy.sparse as sp
     _, first, second = _corners(faces)
     w = -np.tile(cot_weights.ravel(), 2)
     off = sp.coo_matrix((w, (np.concatenate([first, second]), np.concatenate([second, first]))),

@@ -6,8 +6,10 @@ Sparse operators stay sparse: the generalized eigensolve with a lumped
 and complex solves reuse one sparse LU for every right-hand side.  Dense
 factorisations serve small matrices (``sym_eig``, ``nullspace_basis``), the
 full-spectrum case ``k == n`` of ``generalized_sym_eig``, and test oracles.
-``scipy.sparse.linalg`` is imported inside the functions that use it, since
-importing the package should not pay for it.
+``scipy.sparse`` and ``scipy.sparse.linalg`` are imported inside the
+functions that use them, as ``scipy.special`` is in ``seq_models``: importing
+the package loads numpy and no scipy module, so commands that never build a
+sparse matrix (groups, grids, sequences) do not pay for scipy at start-up.
 
 Conventions used throughout:
 
@@ -21,7 +23,6 @@ Conventions used throughout:
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 DEFAULT_TOL = 1e-12
 """Default relative tolerance for symmetry checks and rank decisions."""
@@ -105,6 +106,7 @@ def generalized_sym_eig(l, m, k):
     Either way the eigenvectors satisfy ``Phi^T M Phi = I``.  Raises
     ValueError when ARPACK does not converge.
     """
+    import scipy.sparse as sp
     l = sp.csr_matrix(l)
     m = sp.csr_matrix(m)
     n = l.shape[0]
@@ -141,6 +143,7 @@ def complex_linear_solve(a):
     Raises ValueError when ``a`` is singular, and ``solve`` raises it when
     the residual exceeds 1e-10 relative to ``b``.
     """
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
     a = sp.csc_matrix(a, dtype=complex)
     if a.shape[0] != a.shape[1]:

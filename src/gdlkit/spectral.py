@@ -69,7 +69,8 @@ def mass_norm(basis, x):
 
 def truncated_reconstruction(basis, x, n_keep):
     """Partial Fourier sum over modes ``0..n_keep`` plus its squared M-norm
-    error and the Dirichlet bound ``x^T L x / lambda_{N+1}``."""
+    error and the Dirichlet bound ``x^T L x / lambda_{N+1}``.  L is positive
+    semidefinite, so a negative ``x^T L x`` is rounding and counts as zero."""
     x = np.asarray(x, dtype=float)
     if not (0 <= n_keep < basis.k):
         raise ValueError("truncation size must stay below the basis size")
@@ -83,7 +84,7 @@ def truncated_reconstruction(basis, x, n_keep):
     partial = basis.vectors[:, : n_keep + 1] @ coeffs[: n_keep + 1]
     residual = x - partial
     error = residual @ (basis.mass @ residual)
-    bound = np.inf if np.isinf(lam_next) else float(x @ (basis.stiffness @ x)) / lam_next
+    bound = np.inf if np.isinf(lam_next) else max(float(x @ (basis.stiffness @ x)), 0.0) / lam_next
     return partial, float(error), float(bound)
 
 

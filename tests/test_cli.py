@@ -77,6 +77,8 @@ def test_usage_error_exits_2(capsys):
     (["mesh", "spectrum", "--mesh", TWO_COORDS],
      "OFF line 4: a vertex needs 3 coordinates, got 2"),
     (["mesh", "spectrum", "--mesh", BAD_INDEX], "OBJ line 4: 'x' is not an integer"),
+    (["group", "table", "--name", "Z100000"],
+     "cyclic order 100000 exceeds the closure cap of 10000 elements"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -124,11 +126,43 @@ def test_eigensolver_reports_byte_identical_at_two_blas_threads(argv):
                                    "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads})
 
 
+NO_SPARSE_AT_START_UP = """
+import sys
+from gdlkit.cli import dispatch
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
+assert not loaded("scipy"), loaded("scipy")
+for argv in (["group", "table", "--name", "Oh"], ["fourier-instability"],
+             ["rnn", "shift-equivariance"], ["lstm", "chrono"]):
+    assert dispatch(argv)[0] == 0, argv
+    assert not loaded("scipy.sparse"), (argv, loaded("scipy.sparse"))
+for argv in (["mesh", "spectrum", "--mesh", "icosphere:1", "--k", "8"],
+             ["gnn", "equivariance", "--n", "6", "--trials", "2"]):
+    assert dispatch(argv)[0] == 0, argv
+"""
+
+
+def test_group_grid_and_sequence_commands_start_without_scipy_sparse():
+    # a fresh process: pytest has imported scipy.sparse to resolve the
+    # filterwarnings entry of pyproject.toml
+    proc = subprocess.run([sys.executable, "-c", NO_SPARSE_AT_START_UP], env=src_env(),
+                          capture_output=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def src_env(**extra):
+    """This process's environment plus ``extra``, with the package's ``src``
+    first on the import path."""
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def assert_reruns_identical(argv, extra_env):
     reports = []
     for hash_seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, **extra_env,
-                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        env = src_env(PYTHONHASHSEED=hash_seed, **extra_env)
         env.pop("GDLKIT_SEED", None)
         proc = subprocess.run([sys.executable, "-m", "gdlkit.cli", "--seed", "7", *argv],
                               env=env, capture_output=True, timeout=120, check=False)

@@ -71,6 +71,15 @@ class TestTruncation:
         assert error <= 1e-12
         assert bound >= 0.0
 
+    def test_kernel_mode_bound_not_negative_on_jittered_mesh(self):
+        # x^T L x of the constant mode rounds to -1.5e-16 here; the bound
+        # clamps it, since L is positive semidefinite
+        mesh = mesh_core.jitter_mesh(mesh_core.icosphere(1), 0.05, 0)
+        basis = spectral_basis(mesh_core.cotan_laplacian(mesh), k=8)
+        _, error, bound = truncated_reconstruction(basis, basis.vectors[:, 0], 0)
+        assert error <= 1e-12
+        assert bound == 0.0
+
     def test_bound_holds_for_random_signals(self, sphere2_full_basis):
         basis = sphere2_full_basis
         rng = np.random.default_rng(2)
