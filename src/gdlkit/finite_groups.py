@@ -10,7 +10,7 @@ import numpy as np
 
 from .grid_signals import cross_correlate
 
-CLOSURE_CAP = 10_000
+CLOSURE_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,6 @@ class FiniteGroup:
     @property
     def order(self):
         return self.table.shape[0]
-
-    def compose(self, i, j):
-        return int(self.table[i, j])
-
-    def inverse(self, i):
-        return int(self.inverses[i])
 
 
 @dataclass(frozen=True)

@@ -193,4 +193,4 @@ def modulus_instability_ratio(n, k0, sigma, s):
     tau = s * (np.arange(n) - n / 2.0)
     warped = warp_signal(x, tau)
     zw = warped[:, 0] + 1j * warped[:, 1]
-    return float(np.linalg.norm(np.abs(dft(zw)) - np.abs(dft(z))) / np.linalg.norm(z))
+    return float(np.linalg.norm(fourier_modulus(zw) - fourier_modulus(z)) / np.linalg.norm(z))

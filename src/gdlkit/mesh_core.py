@@ -1,6 +1,5 @@
 """Oriented triangle meshes as discrete manifolds: the half-edge index, the
-discrete metric, the cotangent stiffness/lumped-mass pair (from angles and,
-equivalently, from edge lengths alone), icosphere test geometry, controlled
+cotangent stiffness/lumped-mass pair, icosphere test geometry, controlled
 vertex jitter, and OFF/OBJ-subset file IO.
 
 This module owns the mesh connectivity format, the half-edge index of
@@ -9,8 +8,7 @@ corner, sorted by the key ``u * n + b`` (the receiver-major order of
 :func:`gdlkit.graph_nn.edge_index`), the corners at ``u`` at
 ``indptr[u]:indptr[u + 1]``, each with its step along the counter-clockwise
 walk round ``u``.  Building the index is the manifold check; there is no
-separate validation step.  The discrete metric is stored per face, the three
-lengths opposite each face's corners, so no code keeps an edge table.
+separate validation step.
 
 The Laplacian is stored as the pair ``(L, M)``: a symmetric positive
 semidefinite stiffness matrix with constants in its kernel plus a diagonal
@@ -158,43 +156,6 @@ def half_edge_index(mesh):
 
 
 @dataclass(frozen=True)
-class DiscreteMetric:
-    """Edge lengths per face: ``lengths[f, i]`` is the length of the edge of
-    face ``faces[f]`` opposite its corner ``i``.  Every face must satisfy the
-    strict triangle inequality, and the faces sharing an edge must give it
-    the same length, so the metric is one length per edge."""
-
-    lengths: np.ndarray
-    faces: np.ndarray
-
-    def __post_init__(self):
-        if self.lengths.shape != self.faces.shape:
-            raise ValueError("a metric needs one length per face corner")
-        la, lb, lc = self.lengths.T
-        bad = (la + lb <= lc) | (la + lc <= lb) | (lb + lc <= la)
-        if bad.any():
-            a, b, c = self.faces[np.argmax(bad)]
-            raise ValueError(f"triangle inequality violated on face ({a}, {b}, {c})")
-        _, first, second = _corners(self.faces)
-        n = int(self.faces.max(initial=-1)) + 1
-        key = np.minimum(first, second) * n + np.maximum(first, second)
-        order = np.argsort(key)
-        key, length = key[order], self.lengths.ravel()[order]
-        clash = np.flatnonzero((key[1:] == key[:-1]) & (length[1:] != length[:-1]))
-        if clash.size:
-            u, v = divmod(int(key[clash[0]]), n)
-            raise ValueError(f"faces disagree on the length of edge ({u}, {v})")
-
-
-def discrete_metric(mesh):
-    """Euclidean edge lengths; raises when a face violates the strict
-    triangle inequality (degenerate face)."""
-    _, first, second = _corners(mesh.faces)
-    d = np.linalg.norm(mesh.vertices[second] - mesh.vertices[first], axis=1)
-    return DiscreteMetric(lengths=d.reshape(-1, 3), faces=mesh.faces.copy())
-
-
-@dataclass(frozen=True)
 class LaplacianPair:
     """Symmetric stiffness ``L`` (constants in kernel) and diagonal mass ``M``."""
 
@@ -219,14 +180,31 @@ def _check_areas(face_areas, mean_edge):
         raise ValueError(f"degenerate triangle {bad}: area {face_areas[bad]:.3e}")
 
 
-def _assemble_pair(n, faces, cot_weights, face_areas):
-    """Shared assembly: per-face per-edge half-cotangents into L, barycentric
-    thirds of face areas into M.  ``cot_weights[f, i]`` is half the cotangent
-    of the angle at corner ``i`` of face ``f``, written against the edge
-    opposite it: the edge (first, second) of that corner."""
+def cotan_laplacian(mesh):
+    """Cotangent stiffness from corner angles of the embedded mesh.
+
+    Off-diagonal ``L_uv = -(cot alpha + cot beta) / 2`` over the angles
+    opposite edge (u, v); boundary edges take the single available
+    cotangent; diagonal entries make rows sum to zero.  Obtuse angles keep
+    their negative cotangents (no clamping).  The mass holds barycentric
+    thirds of the face areas.
+    """
     import scipy.sparse as sp
-    _, first, second = _corners(faces)
-    w = -np.tile(cot_weights.ravel(), 2)
+    v = mesh.vertices
+    f = mesh.faces
+    n = mesh.n_vertices
+    areas = mesh.face_areas()
+    _check_areas(areas, mesh.mean_edge_length())
+    # half-cotangent of the angle at each corner, written against the edge
+    # opposite it: the edge (first, second) of that corner
+    cots = np.empty((mesh.n_faces, 3))
+    for corner, (i, j, k) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1))):
+        e1 = v[f[:, j]] - v[f[:, i]]
+        e2 = v[f[:, k]] - v[f[:, i]]
+        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
+        cots[:, corner] = 0.5 * np.einsum("ij,ij->i", e1, e2) / cross
+    _, first, second = _corners(f)
+    w = -np.tile(cots.ravel(), 2)
     off = sp.coo_matrix((w, (np.concatenate([first, second]), np.concatenate([second, first]))),
                         shape=(n, n)).tocsr()
     # The diagonal is the negated storage-order sum of the row's off-diagonal
@@ -237,44 +215,10 @@ def _assemble_pair(n, faces, cot_weights, face_areas):
     stiffness = sp.csr_matrix((np.insert(off.data, row_ends, -(off @ np.ones(n))),
                                np.insert(off.indices, row_ends, np.arange(n)),
                                off.indptr + np.arange(n + 1)), shape=(n, n))
-    mass_diag = np.bincount(faces.ravel(), weights=np.repeat(face_areas / 3.0, 3), minlength=n)
+    mass_diag = np.bincount(f.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=n)
     if np.any(mass_diag <= 0):
         raise ValueError("mesh has a vertex with no incident face")
     return LaplacianPair(stiffness=stiffness, mass=sp.diags(mass_diag).tocsr())
-
-
-def cotan_laplacian(mesh):
-    """Cotangent stiffness from corner angles of the embedded mesh.
-
-    Off-diagonal ``L_uv = -(cot alpha + cot beta) / 2`` over the angles
-    opposite edge (u, v); boundary edges take the single available
-    cotangent; diagonal entries make rows sum to zero.  Obtuse angles keep
-    their negative cotangents (no clamping).
-    """
-    v = mesh.vertices
-    f = mesh.faces
-    areas = mesh.face_areas()
-    _check_areas(areas, mesh.mean_edge_length())
-    cots = np.empty((mesh.n_faces, 3))
-    for corner, (i, j, k) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1))):
-        e1 = v[f[:, j]] - v[f[:, i]]
-        e2 = v[f[:, k]] - v[f[:, i]]
-        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
-        cots[:, corner] = 0.5 * np.einsum("ij,ij->i", e1, e2) / cross
-    return _assemble_pair(mesh.n_vertices, f, cots, areas)
-
-
-def cotan_laplacian_intrinsic(metric):
-    """Same operator pair computed from the discrete metric alone: per-face
-    weights ``(-l_uv^2 + l_vq^2 + l_uq^2) / (8 a)`` with Heron areas."""
-    faces = metric.faces
-    la, lb, lc = metric.lengths.T
-    s = 0.5 * (la + lb + lc)
-    areas = np.sqrt(s * (s - la) * (s - lb) * (s - lc))
-    _check_areas(areas, float(np.mean(metric.lengths)))
-    cots = np.stack([-la**2 + lb**2 + lc**2, -lb**2 + la**2 + lc**2, -lc**2 + la**2 + lb**2],
-                    axis=1) / (8.0 * areas[:, None])
-    return _assemble_pair(int(faces.max()) + 1, faces, cots, areas)
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +286,6 @@ def jitter_mesh(mesh, epsilon, seed):
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def save_mesh(path, mesh, fmt=None):
-    fmt = fmt or _format_from_path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "off":
-            fh.write("OFF\n")
-            fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-            for v in mesh.vertices:
-                fh.write(" ".join(repr(float(c)) for c in v) + "\n")
-            for f in mesh.faces:
-                fh.write("3 " + " ".join(str(int(i)) for i in f) + "\n")
-        elif fmt == "obj":
-            for v in mesh.vertices:
-                fh.write("v " + " ".join(repr(float(c)) for c in v) + "\n")
-            for f in mesh.faces:
-                fh.write("f " + " ".join(str(int(i) + 1) for i in f) + "\n")
-        else:
-            raise ValueError(f"unknown mesh format {fmt!r}")
 
 
 def load_mesh(path, fmt=None):

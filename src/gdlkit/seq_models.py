@@ -85,9 +85,6 @@ class SimpleRnnParams:
     def input_width(self):
         return self.w.shape[1]
 
-    def spectral_radius_estimate(self):
-        return float(np.max(np.abs(np.linalg.eigvals(self.u))))
-
     def step(self, z, h):
         return np.tanh(self.w @ z + self.u @ h + self.b)
 

@@ -1,7 +1,6 @@
 """Fourier analysis and filtering in Laplacian eigenbases: coefficients,
-the truncation bound, Dirichlet energy, direct spectral transfer,
-polynomial and Cayley filters computed without eigendecomposition, the
-jitter-stability experiment, and functional maps.
+direct spectral transfer, polynomial and Cayley filters computed without
+eigendecomposition, the jitter-stability experiment, and functional maps.
 
 The operator behind every filter is the geometric Laplacian ``M^{-1} L``;
 transfer functions are always evaluated against the generalized spectrum
@@ -61,43 +60,6 @@ def fourier_coefficients(basis, x):
     if x.shape != (basis.mass.shape[0],):
         raise ValueError("signal dimension does not match the basis")
     return basis.vectors.T @ (basis.mass @ x)
-
-
-def mass_norm(basis, x):
-    return float(np.sqrt(x @ (basis.mass @ x)))
-
-
-def truncated_reconstruction(basis, x, n_keep):
-    """Partial Fourier sum over modes ``0..n_keep`` plus its squared M-norm
-    error and the Dirichlet bound ``x^T L x / lambda_{N+1}``.  L is positive
-    semidefinite, so a negative ``x^T L x`` is rounding and counts as zero."""
-    x = np.asarray(x, dtype=float)
-    if not (0 <= n_keep < basis.k):
-        raise ValueError("truncation size must stay below the basis size")
-    if n_keep + 1 < basis.k:
-        lam_next = basis.eigenvalues[n_keep + 1]
-        if lam_next <= 1e-10:
-            raise ValueError("bound undefined: lambda_{N+1} vanishes")
-    else:
-        lam_next = np.inf  # full basis kept: the bound is vacuous
-    coeffs = fourier_coefficients(basis, x)
-    partial = basis.vectors[:, : n_keep + 1] @ coeffs[: n_keep + 1]
-    residual = x - partial
-    error = residual @ (basis.mass @ residual)
-    bound = np.inf if np.isinf(lam_next) else max(float(x @ (basis.stiffness @ x)), 0.0) / lam_next
-    return partial, float(error), float(bound)
-
-
-def dirichlet_energy(stiffness, x):
-    """Smoothness measure ``x^T L x``; doubles as the deformation cost of a
-    warp field when ``x`` holds displacements."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != stiffness.shape[0]:
-        raise ValueError("dimension mismatch")
-    value = float(x @ (stiffness @ x))
-    if value < -1e-9:
-        raise ValueError(f"stiffness is not positive semidefinite: {value}")
-    return value
 
 
 def apply_transfer_direct(basis, transfer, x):

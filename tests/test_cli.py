@@ -78,16 +78,20 @@ def test_usage_error_exits_2(capsys):
      "OFF line 4: a vertex needs 3 coordinates, got 2"),
     (["mesh", "spectrum", "--mesh", BAD_INDEX], "OBJ line 4: 'x' is not an integer"),
     (["group", "table", "--name", "Z100000"],
-     "cyclic order 100000 exceeds the closure cap of 10000 elements"),
+     "cyclic order 100000 exceeds the closure cap of 1024 elements"),
+    (["group", "table", "--name", "Z1025"],
+     "cyclic order 1025 exceeds the closure cap of 1024 elements"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
         mesh = mesh_core.icosphere(2)
         faces = mesh.faces.copy()
         faces[0] = faces[0, ::-1]
-        path = str(tmp_path / "flipped.off")
-        mesh_core.save_mesh(path, mesh_core.TriMesh(vertices=mesh.vertices, faces=faces))
-        argv = [path if arg == FLIPPED else arg for arg in argv]
+        path = tmp_path / "flipped.off"
+        path.write_text(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
+                        + "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist())
+                        + "".join(f"3 {a} {b} {c}\n" for a, b, c in faces.tolist()))
+        argv = [str(path) if arg == FLIPPED else arg for arg in argv]
     for placeholder, (name, text) in MESH_FILES.items():
         if placeholder in argv:
             path = tmp_path / name

@@ -118,7 +118,7 @@ class TestRegularRepresentation:
         for i in range(6):
             for j in range(6):
                 prod = rep.matrices[i] @ rep.matrices[j]
-                assert np.array_equal(prod, rep.matrices[group.compose(i, j)])
+                assert np.array_equal(prod, rep.matrices[group.table[i, j]])
 
 
 class TestGroupConvolve:
@@ -149,7 +149,7 @@ class TestGroupConvolve:
         theta = rng.standard_normal(3)
         out = group_convolve(x, theta, action)
         for g in range(group.order):
-            ginv = group.inverse(g)
+            ginv = group.inverses[g]
             brute = sum(x[u] * theta[action.perms[ginv][u]] for u in range(3))
             assert abs(out[g] - brute) <= 1e-12
 
@@ -164,7 +164,7 @@ class TestGroupConvolve:
         theta = rng.standard_normal(domain)
         base = group_convolve(x, theta, action)
         for h in range(group.order):
-            hinv = group.inverse(h)
+            hinv = group.inverses[h]
             translated = x[action.perms[hinv]]  # (rho(h) x)(u) = x(h^{-1} u)
             shifted = group_convolve(translated, theta, action)
             # (rho(h) x * theta)(g) = (x * theta)(h^{-1} g)
@@ -192,7 +192,7 @@ class TestGroupSelfConvolve:
         theta = rng.standard_normal(6)
         out = group_self_convolve(x, theta, group)
         for g in range(6):
-            brute = sum(x[h] * theta[group.compose(group.inverse(g), h)] for h in range(6))
+            brute = sum(x[h] * theta[group.table[group.inverses[g], h]] for h in range(6))
             assert abs(out[g] - brute) <= 1e-12
 
 

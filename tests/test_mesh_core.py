@@ -4,14 +4,11 @@ import pytest
 from gdlkit.mesh_core import (
     TriMesh,
     cotan_laplacian,
-    cotan_laplacian_intrinsic,
-    discrete_metric,
     half_edge_index,
     icosahedron,
     icosphere,
     jitter_mesh,
     load_mesh,
-    save_mesh,
 )
 
 
@@ -98,43 +95,6 @@ class TestValidateManifold:
             half_edge_index(flipped_icosphere())
 
 
-def metric_edge(metric, u, v):
-    """Mask of the entries of ``metric.lengths`` that hold edge (u, v)."""
-    f = metric.faces
-    ends = np.sort(np.stack([np.roll(f, -1, axis=1), np.roll(f, -2, axis=1)], axis=-1), axis=-1)
-    return np.all(ends == sorted((u, v)), axis=-1)
-
-
-class TestDiscreteMetric:
-    def test_unit_equilateral(self):
-        verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]])
-        metric = discrete_metric(TriMesh(vertices=verts, faces=np.array([[0, 1, 2]])))
-        assert np.max(np.abs(metric.lengths - 1.0)) <= 1e-12
-
-    def test_right_triangle(self):
-        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-        metric = discrete_metric(TriMesh(vertices=verts, faces=np.array([[0, 1, 2]])))
-        # the lengths opposite corners 0, 1 and 2: edges (1, 2), (0, 2) and (0, 1)
-        assert np.max(np.abs(metric.lengths - [[np.sqrt(2.0), 1.0, 1.0]])) <= 1e-15
-
-    def test_rigid_motion_invariance(self):
-        rng = np.random.default_rng(1)
-        mesh = icosphere(1)
-        q, t = random_rigid_motion(rng)
-        moved = TriMesh(vertices=mesh.vertices @ q.T + t, faces=mesh.faces)
-        m1 = discrete_metric(mesh)
-        m2 = discrete_metric(moved)
-        assert np.max(np.abs(m1.lengths - m2.lengths)) <= 1e-12
-
-    def test_shared_edge_lengths_must_agree(self):
-        metric = discrete_metric(tetrahedron())
-        lengths = metric.lengths.copy()
-        face, corner = np.argwhere(metric_edge(metric, 0, 1))[0]
-        lengths[face, corner] *= 1.01
-        with pytest.raises(ValueError, match=r"faces disagree on the length of edge \(0, 1\)"):
-            type(metric)(lengths=lengths, faces=metric.faces)
-
-
 class TestCotanLaplacian:
     def test_shared_edge_weight_two_equilaterals(self):
         # two unit equilateral triangles glued along (0, 1)
@@ -181,51 +141,57 @@ class TestCotanLaplacian:
             cotan_laplacian(mesh)
 
 
+def edge_length_laplacian(mesh):
+    """Dense stiffness and mass diagonal from edge lengths alone: per-corner
+    weights ``(-l_opp^2 + l_1^2 + l_2^2) / (8 a)`` with Heron areas."""
+    n = mesh.n_vertices
+    stiffness = np.zeros((n, n))
+    mass = np.zeros(n)
+    for face in mesh.faces:
+        # corner i faces the edge (u, v) of length lengths[i]
+        opposite = [(face[(i + 1) % 3], face[(i + 2) % 3]) for i in range(3)]
+        lengths = [np.linalg.norm(mesh.vertices[u] - mesh.vertices[v]) for u, v in opposite]
+        s = sum(lengths) / 2.0
+        area = np.sqrt(s * (s - lengths[0]) * (s - lengths[1]) * (s - lengths[2]))
+        for i, (u, v) in enumerate(opposite):
+            w = (sum(length**2 for length in lengths) - 2.0 * lengths[i] ** 2) / (8.0 * area)
+            stiffness[u, v] -= w
+            stiffness[v, u] -= w
+            stiffness[u, u] += w
+            stiffness[v, v] += w
+        mass[face] += area / 3.0
+    return stiffness, mass
+
+
 class TestIntrinsicForm:
+    """The angle-form operator depends on the mesh only through its edge
+    lengths."""
+
     def test_agrees_with_angle_form_on_icosphere(self):
         mesh = icosphere(2)
-        pa = cotan_laplacian(mesh)
-        pi = cotan_laplacian_intrinsic(discrete_metric(mesh))
-        assert np.max(np.abs((pa.stiffness - pi.stiffness).toarray())) <= 1e-9
-        assert np.max(np.abs(pa.mass.diagonal() - pi.mass.diagonal())) <= 1e-9
-
-    def test_equilateral_weight_from_heron(self):
-        h = np.sqrt(3) / 2
-        verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, h, 0], [0.5, -h, 0]])
-        mesh = TriMesh(vertices=verts, faces=np.array([[0, 1, 2], [1, 0, 3]]))
-        pair = cotan_laplacian_intrinsic(discrete_metric(mesh))
-        assert abs(-pair.stiffness[0, 1] - 1.0 / np.sqrt(3.0)) <= 1e-12
+        pair = cotan_laplacian(mesh)
+        stiffness, mass = edge_length_laplacian(mesh)
+        assert np.max(np.abs(pair.stiffness.toarray() - stiffness)) <= 1e-9
+        assert np.max(np.abs(pair.mass.diagonal() - mass)) <= 1e-9
 
     def test_metric_scaling_law(self):
         mesh = icosphere(1)
-        metric = discrete_metric(mesh)
-        scaled = type(metric)(lengths=3.0 * metric.lengths, faces=metric.faces)
-        base = cotan_laplacian_intrinsic(metric)
-        big = cotan_laplacian_intrinsic(scaled)
+        base = cotan_laplacian(mesh)
+        big = cotan_laplacian(TriMesh(vertices=3.0 * mesh.vertices, faces=mesh.faces))
         assert np.max(np.abs((base.stiffness - big.stiffness).toarray())) <= 1e-10
         assert np.max(np.abs(9.0 * base.mass.diagonal() - big.mass.diagonal())) <= 1e-10
 
     def test_same_metric_from_two_embeddings(self):
         # a strip folded about its shared edge (the x-axis) keeps every edge
-        # length, so the intrinsic operator cannot change
+        # length, so the operator cannot change
         flat = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0.0]])
         angle = 0.8
         folded = flat.copy()
         folded[3] = [0.5, -np.cos(angle), np.sin(angle)]
         faces = np.array([[0, 1, 2], [1, 0, 3]])
-        m1 = discrete_metric(TriMesh(vertices=flat, faces=faces))
-        m2 = discrete_metric(TriMesh(vertices=folded, faces=faces))
-        assert np.max(np.abs(m1.lengths - m2.lengths)) <= 1e-12
-        p1 = cotan_laplacian_intrinsic(m1)
-        p2 = cotan_laplacian_intrinsic(m2)
+        p1 = cotan_laplacian(TriMesh(vertices=flat, faces=faces))
+        p2 = cotan_laplacian(TriMesh(vertices=folded, faces=faces))
         assert np.max(np.abs((p1.stiffness - p2.stiffness).toarray())) <= 1e-12
-
-    def test_triangle_inequality_violation_rejected(self):
-        metric = discrete_metric(tetrahedron())
-        bad = metric.lengths.copy()
-        bad[metric_edge(metric, 0, 1)] = 10.0
-        with pytest.raises(ValueError, match="triangle inequality"):
-            cotan_laplacian_intrinsic(type(metric)(lengths=bad, faces=metric.faces))
 
 
 class TestIcosphere:
@@ -285,9 +251,10 @@ class TestJitter:
         eps = 0.05
         out = jitter_mesh(mesh, eps, seed=2)
         bound = 2.0 * eps * mesh.mean_edge_length()
-        m1 = discrete_metric(mesh)
-        m2 = discrete_metric(out)
-        assert np.max(np.abs(m1.lengths - m2.lengths)) <= bound + 1e-12
+        e = mesh.edges()
+        before = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+        after = np.linalg.norm(out.vertices[e[:, 0]] - out.vertices[e[:, 1]], axis=1)
+        assert np.max(np.abs(before - after)) <= bound + 1e-12
 
     def test_seed_determinism(self):
         mesh = icosphere(1)
@@ -305,7 +272,15 @@ class TestMeshIO:
     def test_round_trip_bit_exact(self, tmp_path, fmt):
         mesh = tetrahedron()
         path = tmp_path / f"mesh.{fmt}"
-        save_mesh(path, mesh)
+        verts = [" ".join(repr(c) for c in v) for v in mesh.vertices.tolist()]
+        if fmt == "off":
+            path.write_text(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
+                            + "".join(f"{v}\n" for v in verts)
+                            + "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.faces.tolist()))
+        else:
+            path.write_text("".join(f"v {v}\n" for v in verts)
+                            + "".join(f"f {a + 1} {b + 1} {c + 1}\n"
+                                      for a, b, c in mesh.faces.tolist()))
         back = load_mesh(path)
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.faces, mesh.faces)

@@ -9,7 +9,6 @@ from gdlkit.spectral import (
     apply_poly_filter,
     apply_transfer_direct,
     cayley_gain,
-    dirichlet_energy,
     fit_cayley_to_transfer,
     fit_poly_to_transfer,
     fmap_apply,
@@ -17,10 +16,8 @@ from gdlkit.spectral import (
     fmap_from_pointmap,
     fourier_coefficients,
     highpass_bump,
-    mass_norm,
     perturbation_stability_experiment,
     spectral_basis,
-    truncated_reconstruction,
 )
 
 
@@ -55,66 +52,22 @@ class TestFourierCoefficients:
         basis = sphere2_full_basis
         x = np.random.default_rng(0).standard_normal(basis.mass.shape[0])
         coeffs = fourier_coefficients(basis, x)
-        assert abs(np.linalg.norm(coeffs) - mass_norm(basis, x)) <= 1e-8
-
-
-class TestTruncation:
-    def test_full_basis_reconstructs(self, sphere2_full_basis):
-        basis = sphere2_full_basis
-        x = np.random.default_rng(1).standard_normal(basis.mass.shape[0])
-        recon, error, _ = truncated_reconstruction(basis, x, basis.k - 1)
-        assert error <= 1e-12
-
-    def test_kernel_mode_error_zero(self, sphere2_full_basis):
-        basis = sphere2_full_basis
-        _, error, bound = truncated_reconstruction(basis, basis.vectors[:, 0], 0)
-        assert error <= 1e-12
-        assert bound >= 0.0
-
-    def test_kernel_mode_bound_not_negative_on_jittered_mesh(self):
-        # x^T L x of the constant mode rounds to -1.5e-16 here; the bound
-        # clamps it, since L is positive semidefinite
-        mesh = mesh_core.jitter_mesh(mesh_core.icosphere(1), 0.05, 0)
-        basis = spectral_basis(mesh_core.cotan_laplacian(mesh), k=8)
-        _, error, bound = truncated_reconstruction(basis, basis.vectors[:, 0], 0)
-        assert error <= 1e-12
-        assert bound == 0.0
-
-    def test_bound_holds_for_random_signals(self, sphere2_full_basis):
-        basis = sphere2_full_basis
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            x = rng.standard_normal(basis.mass.shape[0])
-            for n_keep in (3, 8, 15):
-                _, error, bound = truncated_reconstruction(basis, x, n_keep)
-                assert error <= bound * (1.0 + 1e-6)
-
-    def test_vanishing_gap_rejected(self, sphere2):
-        mesh, pair = sphere2
-        basis = spectral_basis(pair, k=4)
-        # lambda_1 of the sphere triple is ~2; fabricate the failure by
-        # asking for the bound right at the kernel eigenvalue
-        with pytest.raises(ValueError, match="bound undefined"):
-            # lambda_{N+1} = lambda_0 = 0 is impossible by sorting; emulate
-            # with N such that the next eigenvalue is the zero mode of a
-            # disconnected two-component mesh
-            two = mesh_core.TriMesh(
-                vertices=np.vstack([mesh.vertices, mesh.vertices + 5.0]),
-                faces=np.vstack([mesh.faces, mesh.faces + mesh.n_vertices]))
-            pair2 = mesh_core.cotan_laplacian(two)
-            basis2 = spectral_basis(pair2, k=4)
-            truncated_reconstruction(basis2, np.ones(two.n_vertices), 0)
+        assert abs(np.linalg.norm(coeffs) - np.sqrt(x @ (basis.mass @ x))) <= 1e-8
 
 
 class TestDirichletEnergy:
+    """The stiffness quadratic form ``x^T L x``."""
+
     def test_constant_is_zero(self, sphere2):
         _, pair = sphere2
-        assert dirichlet_energy(pair.stiffness, np.ones(pair.n)) == 0.0
+        ones = np.ones(pair.n)
+        assert ones @ (pair.stiffness @ ones) == 0.0
 
     def test_rayleigh_quotient(self, sphere2_full_basis):
         basis = sphere2_full_basis
         for j in (1, 5, 20):
-            energy = dirichlet_energy(basis.stiffness, basis.vectors[:, j])
+            phi = basis.vectors[:, j]
+            energy = phi @ (basis.stiffness @ phi)
             assert abs(energy - basis.eigenvalues[j]) <= 1e-8
 
     def test_relabelling_invariance(self, sphere2):
@@ -125,8 +78,7 @@ class TestDirichletEnergy:
         pm = np.zeros((pair.n, pair.n))
         pm[p, np.arange(pair.n)] = 1.0
         conjugated = pm @ pair.stiffness.toarray() @ pm.T
-        assert abs(dirichlet_energy(pair.stiffness, x)
-                   - dirichlet_energy(conjugated, pm @ x)) <= 1e-9
+        assert abs(x @ (pair.stiffness @ x) - (pm @ x) @ (conjugated @ (pm @ x))) <= 1e-9
 
 
 class TestTransferAndFilters:
