@@ -241,64 +241,57 @@ def transport_angles(mesh, frames, conn):
     return Connection(theta=dict(conn.theta), radius=dict(conn.radius), transport=transport)
 
 
-def _star_angles(mesh, u):
-    """The corner angles at ``u`` in walk order."""
+def _star_corners(mesh):
+    """The half-edge index of ``mesh`` and the interior angle of each corner."""
     index = half_edge_index(mesh)
-    rows = index.walk(u)
-    return _corner_angles(mesh.vertices, index.centre[rows], index.first[rows], index.second[rows])
+    return index, _corner_angles(mesh.vertices, index.centre, index.first, index.second)
 
 
-def angle_defect(mesh, u):
-    """``2 pi`` minus the interior angles at ``u`` (discrete curvature)."""
-    return TWO_PI - float(np.sum(_star_angles(mesh, u)))
+def angle_defect(mesh):
+    """Discrete Gaussian curvature per vertex: ``2 pi`` minus the interior
+    angles at it.  On a closed mesh the defects sum to ``2 pi`` times the
+    Euler characteristic (discrete Gauss-Bonnet)."""
+    index, angle = _star_corners(mesh)
+    return TWO_PI - np.bincount(index.centre, weights=angle, minlength=mesh.n_vertices)
 
 
-def ring_holonomy(mesh, conn, u):
-    """Net rotation from composing edge transports around the one-ring of ``u``.
+def enclosed_curvature(mesh):
+    """Curvature enclosed by the one-ring edge loop of each vertex, mod ``2 pi``.
 
-    The loop runs along the ring edges, so it encloses the centre's angle
-    defect plus each ring vertex's curvature share inside the star (the
-    flattening rescale distributes a vertex's defect over its corners);
-    :func:`enclosed_curvature` computes that reference value.  An open fan
-    (a boundary vertex) has no closed ring and is refused.
+    The flattening rescale of :func:`one_ring_log_map` spreads an interior
+    vertex's defect over its corners, each corner taking ``(2 pi / A_w - 1)``
+    times its angle (``A_w`` the total angle at its vertex ``w``); an open
+    fan is not rescaled, so its corners take no share.  The loop round ``u``
+    encloses ``u``'s whole defect plus the share of every other corner of
+    the faces at ``u``: a corner ``(w, b, c)`` lies inside the stars of
+    ``b`` and ``c``.
+    """
+    index, angle = _star_corners(mesh)
+    n = mesh.n_vertices
+    total = np.bincount(index.centre, weights=angle, minlength=n)
+    scale = np.where(index.boundary[index.centre], 1.0, TWO_PI / total[index.centre])
+    share = (scale - 1.0) * angle
+    inside = (np.bincount(index.first, weights=share, minlength=n)
+              + np.bincount(index.second, weights=share, minlength=n))
+    return (TWO_PI - total + inside) % TWO_PI
+
+
+def ring_holonomy(mesh, conn):
+    """Net rotation, mod ``2 pi``, from composing edge transports once round
+    the one-ring of each vertex; NaN at a boundary vertex, whose open fan has
+    no closed ring.
+
+    The ring edge of corner ``(u, b, c)`` runs ``b -> c``, so the loop round
+    ``u`` sums ``transport[(b, c)]`` over the corners at ``u``.  It encloses
+    the curvature of :func:`enclosed_curvature` (discrete Gauss-Bonnet).
     """
     index = half_edge_index(mesh)
-    if index.boundary[u]:
-        raise ValueError(f"ring of vertex {u} is not a closed loop")
-    ring = index.ring(u).tolist()
-    return sum(conn.transport[(a, b)] for a, b in zip(ring, ring[1:] + ring[:1])) % TWO_PI
-
-
-def enclosed_curvature(mesh, u):
-    """Curvature enclosed by the one-ring edge loop of ``u``: the centre's
-    defect plus, for each ring vertex, its defect share over the corners
-    lying inside the star (sum of corner-angle defects)."""
-    index = half_edge_index(mesh)
-    angle = _corner_angles(mesh.vertices, index.centre, index.first, index.second)
-    total_angle = np.bincount(index.centre, weights=angle, minlength=mesh.n_vertices)
-    total = TWO_PI - total_angle[u]
-    for w in index.ring(u):
-        rows = slice(index.indptr[w], index.indptr[w + 1])
-        # the two corners at w in the faces it shares with u
-        inside = angle[rows][(index.first[rows] == u) | (index.second[rows] == u)].sum()
-        total += (TWO_PI / total_angle[w] - 1.0) * inside
-    return total % TWO_PI
-
-
-def star_unfolding_holonomy(mesh, u):
-    """Net rotation of a vector carried once around ``u`` through its star,
-    unfolding face after face across the shared spokes.
-
-    Transport inside each flat face is trivial and the transition at each
-    spoke is the in-plane rotation by that face's corner angle at ``u``, so
-    the composition around the loop returns the vector rotated by the angle
-    defect (discrete Gauss-Bonnet for a loop enclosing only ``u``).
-    """
-    rotation = np.eye(2)
-    for ang in _star_angles(mesh, u):
-        c, s = np.cos(ang), np.sin(ang)
-        rotation = np.array([[c, -s], [s, c]]) @ rotation
-    return (-np.arctan2(rotation[1, 0], rotation[0, 0])) % TWO_PI
+    transport = np.fromiter(
+        (conn.transport[edge] for edge in zip(index.first.tolist(), index.second.tolist())),
+        dtype=float, count=index.first.size)
+    holonomy = np.bincount(index.centre, weights=transport, minlength=mesh.n_vertices) % TWO_PI
+    holonomy[index.boundary] = np.nan
+    return holonomy
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +371,7 @@ def _constraint_matrix(orders_in, orders_out, n_bins):
     return np.concatenate(rows, axis=0)
 
 
-def kernel_constraint_basis(orders_in, orders_out, n_bins, tol=1e-7):
+def kernel_constraint_basis(orders_in, orders_out, n_bins):
     """Orthonormal basis of kernels satisfying the gauge constraints."""
     if n_bins < 1:
         raise ValueError("at least one angle bin required")
@@ -388,7 +381,7 @@ def kernel_constraint_basis(orders_in, orders_out, n_bins, tol=1e-7):
     d_out = rep_dimension(orders_out)
     block = d_out * d_in
     constraints = _constraint_matrix(orders_in, orders_out, n_bins)
-    basis = nullspace_basis(constraints, tol=tol)
+    basis = nullspace_basis(constraints)
     kernels = []
     for col in basis.T:
         theta_self = col[:block].reshape(d_out, d_in)
@@ -451,12 +444,12 @@ def gauge_conv(mesh, conn, kernel, x):
         raise ValueError("kernel violates the gauge constraints")
     pairs, theta = _edge_arrays(conn.theta)
     back, transport = _edge_arrays(conn.transport)  # keyed (v, u)
-    receivers, senders, indptr = edge_index(
-        adjacency_from_edges(mesh.n_vertices, pairs, undirected=False))
-    # the index orders the (unique) edges by receiver, then sender
+    # the (unique) edges by receiver, then sender: the order of an edge index
     order, back_order = np.lexsort((pairs[:, 1], pairs[:, 0])), np.lexsort(back.T)
-    if not np.array_equal(back[back_order], np.stack([senders, receivers], axis=1)):
+    if not np.array_equal(back[back_order], pairs[order][:, ::-1]):
         raise ValueError("polar angles and transports must cover the same directed edges")
+    receivers, senders = pairs[order].T
+    indptr = np.searchsorted(receivers, np.arange(mesh.n_vertices + 1))
     n_bins = kernel.n_bins
     bins = np.round(theta[order] / (TWO_PI / n_bins)).astype(int) % n_bins
     rho = rep_matrix(kernel.orders_in, snap_angle(transport[back_order], n_bins))

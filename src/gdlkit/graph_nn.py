@@ -68,13 +68,12 @@ def mlp_init(widths, rng, activation="tanh"):
     return MlpParams(weights=weights, biases=biases, activation=activation)
 
 
-def adjacency_from_edges(n, edges, undirected=True):
-    """Binary CSR adjacency of an edge list in canonical form: indices
-    sorted, duplicate edges collapsed, undirected edges stored both ways."""
+def adjacency_from_edges(n, edges):
+    """Binary CSR adjacency of an undirected edge list in canonical form:
+    indices sorted, duplicate edges collapsed, each edge stored both ways."""
     import scipy.sparse as sp
     pairs = np.asarray(edges, dtype=int).reshape(-1, 2)
-    if undirected:
-        pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    pairs = np.concatenate([pairs, pairs[:, ::-1]])
     adj = sp.csr_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     adj.data[:] = 1.0  # collapse duplicate edges
     return adj
@@ -120,10 +119,10 @@ class Graph:
         return self.features.shape[0]
 
 
-def graph_from_edges(n, edges, features, undirected=True, allow_self_loops=False):
-    return Graph(adjacency=adjacency_from_edges(n, edges, undirected),
-                 features=np.asarray(features, dtype=float),
-                 undirected=undirected, allow_self_loops=allow_self_loops)
+def graph_from_edges(n, edges, features):
+    """Undirected graph without self-loops from an edge list."""
+    return Graph(adjacency=adjacency_from_edges(n, edges),
+                 features=np.asarray(features, dtype=float))
 
 
 def check_permutation(p, n):

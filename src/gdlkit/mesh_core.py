@@ -87,7 +87,9 @@ class HalfEdgeIndex:
     """Face corners sorted by ``centre * n + first``; the corners at ``u``
     are rows ``indptr[u]:indptr[u + 1]``.  ``step`` numbers each corner along
     the counter-clockwise walk round its centre, and ``boundary`` flags the
-    vertices whose star is an open fan."""
+    vertices whose star is an open fan.  Corner ``(u, b, c)`` holds the ring
+    edge ``b -> c`` of ``u``, so a quantity summed round every vertex's ring
+    is one per-row array reduced by ``np.bincount(centre, ...)``."""
 
     centre: np.ndarray
     first: np.ndarray
@@ -95,17 +97,6 @@ class HalfEdgeIndex:
     indptr: np.ndarray
     step: np.ndarray
     boundary: np.ndarray
-
-    def walk(self, u):
-        """Rows of the corners at ``u`` in walk order."""
-        return self.indptr[u] + np.argsort(self.step[self.indptr[u]:self.indptr[u + 1]])
-
-    def ring(self, u):
-        """One-ring of ``u`` in walk order; an open fan ends with the second
-        vertex of its last corner."""
-        rows = self.walk(u)
-        ring = self.first[rows]
-        return np.append(ring, self.second[rows[-1]]) if self.boundary[u] else ring
 
 
 def half_edge_index(mesh):
@@ -288,21 +279,13 @@ def jitter_mesh(mesh, epsilon, seed):
 # file formats
 
 
-def load_mesh(path, fmt=None):
-    fmt = fmt or _format_from_path(path)
-    if fmt == "off":
-        return _load_off(path)
-    if fmt == "obj":
-        return _load_obj(path)
-    raise ValueError(f"unknown mesh format {fmt!r}")
-
-
-def _format_from_path(path):
+def load_mesh(path):
+    """Read a mesh, in the format its ``.off`` or ``.obj`` suffix names."""
     lower = str(path).lower()
     if lower.endswith(".off"):
-        return "off"
+        return _load_off(path)
     if lower.endswith(".obj"):
-        return "obj"
+        return _load_obj(path)
     raise ValueError(f"cannot infer mesh format from {path!r}")
 
 

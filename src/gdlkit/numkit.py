@@ -27,6 +27,11 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 """Default relative tolerance for symmetry checks and rank decisions."""
 
+NULLSPACE_TOL = 1e-7
+"""Relative singular-value cutoff of :func:`nullspace_basis`.  The basis is
+read from ``a^T a``, which squares the spectrum, so the cutoff must stay
+above sqrt(machine epsilon) ~ 1.5e-8; this leaves a comfortable margin."""
+
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -168,13 +173,11 @@ def complex_linear_solve(a):
     return solve
 
 
-def nullspace_basis(a, tol=1e-7):
+def nullspace_basis(a):
     """Orthonormal basis of the (numerical) nullspace of ``a``.
 
     The dimension is the number of eigenvalues of ``a^T a`` below
-    ``tol^2 * |a|^2`` (spectral norm).  Going through the Gram matrix
-    squares the spectrum, so ``tol`` must stay above sqrt(machine epsilon);
-    the default leaves a comfortable margin.  The zero matrix maps
+    ``NULLSPACE_TOL^2 * |a|^2`` (spectral norm).  The zero matrix maps
     everything to zero, so its nullspace is the whole domain.
     """
     a = np.asarray(a, dtype=float)
@@ -188,6 +191,6 @@ def nullspace_basis(a, tol=1e-7):
     top = system.eigenvalues[-1] if n else 0.0
     if top <= 0:
         return np.eye(n)
-    cutoff = tol * tol * top  # top eigenvalue of a^T a equals |a|^2
+    cutoff = NULLSPACE_TOL * NULLSPACE_TOL * top  # top eigenvalue of a^T a equals |a|^2
     dim = int(np.searchsorted(system.eigenvalues, cutoff))
     return system.eigenvectors[:, :dim]

@@ -154,7 +154,7 @@ def fit_cayley_to_transfer(transfer, eigenvalues, degree):
     return sol[: degree + 1] + 1j * sol[degree + 1:]
 
 
-def perturbation_stability_experiment(mesh, epsilon, kind, seed, k=None, degree=None):
+def perturbation_stability_experiment(mesh, epsilon, kind, seed, degree=None):
     """Filter the same random signal on a mesh and its jittered copy and
     return the relative output discrepancy.
 
@@ -182,8 +182,8 @@ def perturbation_stability_experiment(mesh, epsilon, kind, seed, k=None, degree=
     perturbed = mesh_core.jitter_mesh(mesh, epsilon, seed)
     pair = mesh_core.cotan_laplacian(mesh)
     pair_j = mesh_core.cotan_laplacian(perturbed)
-    basis = spectral_basis(pair, k=k)
-    basis_j = spectral_basis(pair_j, k=k)
+    basis = spectral_basis(pair)
+    basis_j = spectral_basis(pair_j)
     rng = substream(seed, "stability-signal")
     x = rng.standard_normal(mesh.n_vertices)
     transfer = highpass_bump(basis.eigenvalues)
@@ -201,11 +201,9 @@ def perturbation_stability_experiment(mesh, epsilon, kind, seed, k=None, degree=
     else:
         discrepancy = direct
     return {
-        "epsilon": float(epsilon),
         "kind": kind if degree is None else f"{kind}({degree})",
         "discrepancy": discrepancy,
         "direct_discrepancy": direct,
-        "seed": int(seed),
     }
 
 

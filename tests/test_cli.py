@@ -139,7 +139,7 @@ def loaded(prefix):
 
 assert not loaded("scipy"), loaded("scipy")
 for argv in (["group", "table", "--name", "Oh"], ["fourier-instability"],
-             ["rnn", "shift-equivariance"], ["lstm", "chrono"]):
+             ["rnn", "shift-equivariance"], ["lstm", "chrono"], ["gauge", "equivariance"]):
     assert dispatch(argv)[0] == 0, argv
     assert not loaded("scipy.sparse"), (argv, loaded("scipy.sparse"))
 for argv in (["mesh", "spectrum", "--mesh", "icosphere:1", "--k", "8"],

@@ -143,6 +143,54 @@ def loop_rings(mesh):
     return rings, boundary
 
 
+def open_cap(mesh, height):
+    """The faces of ``mesh`` whose centroid lies above ``z = height``, with
+    the unused vertices dropped: an open disc with a boundary loop."""
+    f = mesh.faces
+    keep = f[mesh.vertices[f].mean(axis=1)[:, 2] > height]
+    used, faces = np.unique(keep, return_inverse=True)
+    return mesh_core.TriMesh(vertices=mesh.vertices[used], faces=faces.reshape(-1, 3))
+
+
+def loop_angle(v, u, a, b):
+    """Interior angle at ``u`` of the corner between neighbours ``a`` and ``b``."""
+    e1, e2 = v[a] - v[u], v[b] - v[u]
+    return np.arccos(np.clip(e1 @ e2 / (np.linalg.norm(e1) * np.linalg.norm(e2)), -1.0, 1.0))
+
+
+def loop_curvatures(mesh, conn):
+    """Reference angle defects, enclosed curvatures and ring holonomies, one
+    vertex at a time from its ring walk: a ring vertex ``w`` adds its
+    log-map rescale share (none at an open fan) over its corners in faces
+    shared with the centre."""
+    rings, boundary = loop_rings(mesh)
+    stars = []
+    for u, ring in enumerate(rings):
+        pairs = zip(ring, ring[1:] + ([] if boundary[u] else ring[:1]))
+        stars.append([(a, b, loop_angle(mesh.vertices, u, a, b)) for a, b in pairs])
+    total = [sum(angle for _, _, angle in star) for star in stars]
+    defect = TWO_PI - np.array(total)
+    enclosed = defect.copy()
+    holonomy = np.full(mesh.n_vertices, np.nan)
+    for u, ring in enumerate(rings):
+        for w in ring:
+            share = 0.0 if boundary[w] else TWO_PI / total[w] - 1.0
+            enclosed[u] += share * sum(angle for a, b, angle in stars[w] if u in (a, b))
+        if not boundary[u]:
+            holonomy[u] = sum(conn.transport[(a, b)] for a, b, _ in stars[u]) % TWO_PI
+    return defect, enclosed % TWO_PI, holonomy
+
+
+def connection_of(mesh):
+    frames = geo.tangent_frames(mesh)
+    return geo.transport_angles(mesh, frames, geo.one_ring_log_map(mesh, frames))
+
+
+def max_angle_gap(a, b):
+    d = (a - b) % TWO_PI
+    return float(np.max(np.minimum(d, TWO_PI - d), initial=0.0))
+
+
 def loop_frames_and_log_map(mesh):
     """Reference frames (normals accumulated face by face, e1 toward the
     lowest neighbour) and polar angles (each star unrolled vertex by vertex)."""
@@ -160,11 +208,8 @@ def loop_frames_and_log_map(mesh):
         proj = edge - (edge @ normals[u]) * normals[u]
         e1[u] = proj / np.linalg.norm(proj)
         m = len(ring)
-        corners = []
-        for i in range(m - 1 if boundary[u] else m):
-            a, b = v[ring[i]] - v[u], v[ring[(i + 1) % m]] - v[u]
-            corners.append(np.arccos(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)),
-                                             -1.0, 1.0)))
+        corners = [loop_angle(v, u, ring[i], ring[(i + 1) % m])
+                   for i in range(m - 1 if boundary[u] else m)]
         scale = 1.0 if boundary[u] else TWO_PI / sum(corners)
         cumulative = [0.0]
         for corner in corners[:m - 1]:
@@ -312,28 +357,35 @@ class TestTransport:
         for (v, u), g in conn.transport.items():
             assert angle_close(g, -conn.transport[(u, v)], 1e-12)
 
-    def test_ring_holonomy_equals_enclosed_curvature(self):
-        mesh = mesh_core.icosphere(2)
-        frames = geo.tangent_frames(mesh)
-        conn = geo.transport_angles(mesh, frames, geo.one_ring_log_map(mesh, frames))
-        for u in range(0, mesh.n_vertices, 7):
-            assert angle_close(geo.ring_holonomy(mesh, conn, u),
-                               geo.enclosed_curvature(mesh, u), 1e-8)
-        patch = flat_hexagon_patch()
-        frames = geo.tangent_frames(patch)
-        conn = geo.transport_angles(patch, frames, geo.one_ring_log_map(patch, frames))
-        assert angle_close(geo.ring_holonomy(patch, conn, 0),
-                           geo.enclosed_curvature(patch, 0), 1e-8)
-        # vertex 1 sits on the boundary: its open fan has no closed ring
-        with pytest.raises(ValueError, match="ring of vertex 1 is not a closed loop"):
-            geo.ring_holonomy(patch, conn, 1)
+    @pytest.mark.parametrize("mesh", [
+        mesh_core.icosphere(2), mesh_core.jitter_mesh(mesh_core.icosphere(3), 0.05, seed=3),
+        flat_hexagon_patch(), open_cap(mesh_core.icosphere(3), 0.3)],
+        ids=["icosphere2", "jittered-icosphere3", "hexagon-fan", "open-cap"])
+    def test_curvatures_match_per_vertex_loops(self, mesh):
+        conn = connection_of(mesh)
+        defect, enclosed, holonomy = loop_curvatures(mesh, conn)
+        assert np.max(np.abs(geo.angle_defect(mesh) - defect)) <= 1e-12
+        assert max_angle_gap(geo.enclosed_curvature(mesh), enclosed) <= 1e-12
+        ring = geo.ring_holonomy(mesh, conn)
+        assert np.array_equal(np.isnan(ring), np.isnan(holonomy))
+        interior = ~np.isnan(holonomy)
+        assert max_angle_gap(ring[interior], holonomy[interior]) <= 1e-12
 
-    def test_star_unfolding_holonomy_equals_angle_defect(self):
-        for k in (1, 2):
-            mesh = mesh_core.icosphere(k)
-            for u in range(mesh.n_vertices):
-                assert angle_close(geo.star_unfolding_holonomy(mesh, u),
-                                   geo.angle_defect(mesh, u), 1e-8)
+    def test_ring_holonomy_equals_enclosed_curvature(self):
+        # discrete Gauss-Bonnet at every interior vertex; an open fan at a
+        # boundary vertex has no closed ring, so its holonomy is NaN
+        for mesh in (mesh_core.icosphere(2), flat_hexagon_patch(),
+                     open_cap(mesh_core.icosphere(3), 0.3)):
+            holonomy = geo.ring_holonomy(mesh, connection_of(mesh))
+            boundary = mesh_core.half_edge_index(mesh).boundary
+            assert np.all(np.isnan(holonomy[boundary]))
+            assert max_angle_gap(holonomy[~boundary],
+                                 geo.enclosed_curvature(mesh)[~boundary]) <= 1e-8
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_angle_defects_sum_to_four_pi(self, k):
+        # discrete Gauss-Bonnet on a closed genus-0 surface
+        assert abs(np.sum(geo.angle_defect(mesh_core.icosphere(k))) - 2 * TWO_PI) <= 1e-10
 
 
 class TestKernelConstraints:
