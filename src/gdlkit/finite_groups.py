@@ -30,7 +30,11 @@ class FiniteGroup:
 class GroupAction:
     """Permutation of a fixed index domain per group element.
 
-    ``perms[g][u]`` is the image ``g.u``.
+    ``perms[g][u]`` is the image ``g.u``.  ``group.table`` must be a group
+    table (associative, with identity): the composition check then reads
+    only the columns of a generating set, because by associativity the
+    elements ``h`` with ``g.(h.u) = (gh).u`` for every ``g`` and ``u`` are
+    closed under products.
     """
 
     group: FiniteGroup
@@ -46,11 +50,11 @@ class GroupAction:
             raise ValueError("one permutation per group element required")
         if not np.array_equal(self.perms[g.identity], np.arange(self.domain_size)):
             raise ValueError("identity must act as the identity permutation")
-        for i in range(g.order):
-            # row j: g_i . (g_j . u) against (g_i g_j) . u
-            bad = np.any(self.perms[i][self.perms] != self.perms[g.table[i]], axis=1)
+        for j in _generating_set(g.table, g.identity):
+            # row i: g_i . (g_j . u) against (g_i g_j) . u
+            bad = np.any(self.perms[:, self.perms[j]] != self.perms[g.table[:, j]], axis=1)
             if bad.any():
-                j = int(np.argmax(bad))
+                i = int(np.argmax(bad))
                 raise ValueError(f"action not compatible with composition at ({i}, {j})")
 
 
@@ -81,8 +85,32 @@ class Representation:
                 raise ValueError(f"homomorphism fails at ({i}, {int(np.argmax(bad))})")
 
 
+def _generating_set(table, identity):
+    """Indices picked in index order, each the first index not yet reached
+    from the identity by products of the earlier picks.
+
+    The reached set is closed by squaring it, so a cyclic group of order n
+    takes about log2(n) steps of at most n^2 lookups.
+    """
+    reached = np.zeros(table.shape[0], dtype=bool)
+    reached[identity] = True
+    picks = []
+    while not reached.all():
+        picks.append(int(np.argmin(reached)))
+        reached[picks[-1]] = True
+        while not reached.all():
+            r = np.flatnonzero(reached)
+            reached[table[np.ix_(r, r)]] = True
+            if np.count_nonzero(reached) == r.size:
+                break
+    return picks
+
+
 def _as_permutation(p, domain_size):
-    p = np.asarray(p, dtype=int)
+    p = np.asarray(p)
+    if p.dtype.kind == "f" and not np.all(np.isfinite(p) & (p == np.round(p))):
+        raise ValueError("generator is not a permutation of the domain")
+    p = p.astype(int)
     if p.shape != (domain_size,) or not np.array_equal(np.sort(p), np.arange(domain_size)):
         raise ValueError("generator is not a permutation of the domain")
     return p
@@ -143,7 +171,17 @@ class AxiomReport:
 
 
 def verify_group_axioms(group):
-    """Exhaustive check of closure, associativity, identity and inverses."""
+    """Exhaustive check of closure, associativity, identity and inverses.
+
+    Associativity is Light's test over a generating set S of the table
+    (Clifford & Preston 1961, section 1.2): compare ``(x s) y`` with
+    ``x (s y)`` for every ``x``, ``y`` and ``s`` in S.  The elements ``a``
+    with ``(x a) y = x (a y)`` for all ``x``, ``y`` are closed under
+    products (``(x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y)``)
+    and include the identity, which is checked first, so passing on S
+    passes on every element: O(order^2 |S|) lookups instead of O(order^3).
+    A failure's witness ``(x, s, y)`` is a genuine non-associative triple.
+    """
     table = group.table
     n = table.shape[0]
     report = AxiomReport()
@@ -157,13 +195,13 @@ def verify_group_axioms(group):
         report.identity = False
         report.witness = (e,)
         return report
-    for g in range(n):
-        # (g h) k against g (h k), one row of (h, k) pairs per g
-        bad = table[table[g]] != table[g][table]
+    for s in _generating_set(table, e):
+        # (x s) y against x (s y), one row of y per x
+        bad = table[table[:, s]] != table[:, table[s]]
         if bad.any():
-            h, k = np.argwhere(bad)[0]
+            x, y = np.argwhere(bad)[0]
             report.associativity = False
-            report.witness = (g, int(h), int(k))
+            report.witness = (int(x), s, int(y))
             return report
     is_e = table == e
     first = np.argmax(is_e, axis=1)

@@ -126,7 +126,10 @@ def graph_from_edges(n, edges, features):
 
 
 def check_permutation(p, n):
-    p = np.asarray(p, dtype=int)
+    p = np.asarray(p)
+    if p.dtype.kind == "f" and not np.all(np.isfinite(p) & (p == np.round(p))):
+        raise ValueError("not a permutation of the node set")
+    p = p.astype(int)
     if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
         raise ValueError("not a permutation of the node set")
     return p

@@ -104,6 +104,14 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     assert len(lines) == 1 and lines[0].startswith("gdlkit: error: ") and reason in lines[0]
 
 
+def test_group_table_at_the_closure_cap(capsys):
+    code, out, _ = run(capsys, ["group", "table", "--name", "Z1024"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 1024 and len(report["table"]) == 1024
+    assert report["verdicts"] == {"axioms_pass": True}
+
+
 @pytest.mark.parametrize("argv", [
     ["gnn", "equivariance", "--flavour", "attn", "--n", "8", "--trials", "3"],
     ["egnn", "equivariance", "--n", "7", "--trials", "3"],

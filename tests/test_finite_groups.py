@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdlkit import grid_signals as gs
 from gdlkit.finite_groups import (
@@ -62,6 +64,21 @@ class TestClosure:
         with pytest.raises(ValueError):
             group_from_generators(3, [np.array([0, 0, 1])])
 
+    def test_non_integral_generator_rejected(self):
+        # truncation would read [1.7, 2.2, 0.0] as the 3-cycle [1, 2, 0]
+        with pytest.raises(ValueError, match="not a permutation"):
+            group_from_generators(3, [[1.7, 2.2, 0.0]])
+        group, _ = group_from_generators(3, [[1.0, 2.0, 0.0]])
+        assert group.order == 3
+
+
+# order-5 Latin square with identity 0: a loop, but not a group
+LOOP5 = np.array([[0, 1, 2, 3, 4],
+                  [1, 0, 3, 4, 2],
+                  [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1],
+                  [4, 3, 1, 2, 0]])
+
 
 class TestAxioms:
     def test_z4_passes(self):
@@ -82,11 +99,103 @@ class TestAxioms:
         assert not report.all_pass()
         assert report.witness == (1, 1, 2)  # (1 1) 2 = 1 + 2 = 3, but 1 (1 2) = 1 + 3 = 0
 
+    def test_non_associative_loop_fails_on_associativity(self):
+        table = LOOP5
+        report = verify_group_axioms(FiniteGroup(table=table, identity=0))
+        assert report.closure and report.identity and not report.associativity
+        x, s, y = report.witness
+        assert table[table[x, s], y] != table[x, table[s, y]]
 
-# Z4 with element 1 given the action (or matrix) of element 3: it squares to
-# element 2 correctly, so the first broken pair is (1, 2).
+
+def first_failing_axiom(table, e):
+    """Exhaustive O(order^3) oracle: the first axiom, in the order
+    ``verify_group_axioms`` checks them, that some element violates."""
+    n = table.shape[0]
+    idx = np.arange(n)
+    if np.any((table < 0) | (table >= n)):
+        return "closure"
+    if not (np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)):
+        return "identity"
+    # [x, y, z]: (x y) z against x (y z)
+    if not np.array_equal(table[table], table[:, table]):
+        return "associativity"
+    if not np.all(np.any((table == e) & (table.T == e), axis=1)):
+        return "inverse"
+    return None
+
+
+@st.composite
+def small_group_tables(draw):
+    """Closure of up to three permutations of at most five points, possibly
+    crossed with ``LOOP5`` (a table whose group-side elements, which come
+    first in index order, associate with everything), with one entry
+    possibly overwritten (in or out of range)."""
+    crossed = draw(st.booleans())
+    d = draw(st.integers(1, 4 if crossed else 5))
+    gens = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+    group, _ = group_from_generators(d, [np.array(g) for g in gens])
+    table = group.table
+    if crossed:  # index l * m + g for loop element l and group element g
+        m = group.order
+        table = (LOOP5[:, None, :, None] * m + table[None, :, None, :]).reshape(5 * m, 5 * m)
+    table = table.copy()
+    if draw(st.booleans()):
+        n = table.shape[0]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i, j] = draw(st.integers(-1, n))
+    return table
+
+
+@given(small_group_tables())
+@settings(max_examples=150, deadline=None)
+def test_axiom_verdict_matches_exhaustive_oracle(table):
+    report = verify_group_axioms(FiniteGroup(table=table, identity=0))
+    failing = first_failing_axiom(table, 0)
+    assert report.all_pass() == (failing is None)
+    if failing is None:
+        return
+    assert not getattr(report, failing)
+    w = report.witness
+    if failing == "closure":
+        assert not 0 <= table[w] < table.shape[0]
+    elif failing == "identity":
+        assert w == (0,)
+    elif failing == "associativity":
+        x, s, y = w
+        assert table[table[x, s], y] != table[x, table[s, y]]
+    else:
+        (x,) = w
+        assert not np.any((table[x] == 0) & (table[:, x] == 0))
+
+
+def test_action_corrupted_at_a_non_generator_row_raises():
+    group, action = group_from_generators(27, cube_rotation_generators())
+    # elements 1 and 2 are the two generators; element 5 is a product of them
+    perms = action.perms.copy()
+    perms[5] = perms[6]
+    with pytest.raises(ValueError, match="action not compatible with composition"):
+        GroupAction(group, perms)
+
+
+def test_action_compatible_on_one_generator_only_raises():
+    # Z2 x Z2 = <a> x <b> (elements e, a, b, ab) acting regularly on points
+    # 0-3; elements outside <a> also turn points 4-6 by a 3-cycle, which
+    # commutes with everything, so column a passes and column b fails
+    a, b = [1, 0, 3, 2, 4, 5, 6], [2, 3, 0, 1, 4, 5, 6]
+    group, action = group_from_generators(7, [a, b])
+    turn = np.array([0, 1, 2, 3, 5, 6, 4])
+    perms = action.perms.copy()
+    perms[[2, 3]] = perms[[2, 3]][:, turn]
+    with pytest.raises(ValueError, match=r"action not compatible with composition at \(2, 2\)"):
+        GroupAction(group, perms)
+
+
+# Z4 with element 1 given the action (or matrix) of element 3.  The action
+# check scans the generator column 1 and first breaks at (2, 1); the
+# representation check scans rows, and element 1 squares to element 2
+# correctly, so its first broken pair is (1, 2).
 @pytest.mark.parametrize("make, row, source, reason", [
-    (GroupAction, 1, 3, r"action not compatible with composition at \(1, 2\)"),
+    (GroupAction, 1, 3, r"action not compatible with composition at \(2, 1\)"),
     (GroupAction, 0, 1, "identity must act as the identity permutation"),
     (Representation, 1, None, r"rho\(g_1\) is singular"),
     (Representation, 1, 3, r"homomorphism fails at \(1, 2\)"),

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from gdlkit.graph_nn import (
     Graph,
     MlpParams,
+    check_permutation,
     conv_coefficient,
     deepsets_forward,
     gnn_forward,
@@ -71,6 +72,12 @@ class TestPermuteGraph:
         rows, cols = h.adjacency.nonzero()
         edges = {(min(a, b), max(a, b)) for a, b in zip(rows, cols)}
         assert edges == {(0, 2), (0, 1)}
+
+    def test_non_integral_permutation_rejected(self):
+        # truncation would read [0.9, 1.0, 2.5] as the identity [0, 1, 2]
+        with pytest.raises(ValueError, match="not a permutation"):
+            check_permutation([0.9, 1.0, 2.5], 3)
+        assert np.array_equal(check_permutation([2.0, 0.0, 1.0], 3), [2, 0, 1])
 
     def test_self_loop_flag_enforced(self):
         with pytest.raises(ValueError, match="self-loop"):
