@@ -270,7 +270,7 @@ def _cmd_egnn_equivariance(args, seed):
         permuted = geo.GeometricGraph(
             positions=_permute_rows(g.positions, p),
             features=_permute_rows(g.features, p),
-            edges=[(int(p[a]), int(p[b])) for a, b in g.edges])
+            edges=p[np.asarray(g.edges, dtype=int).reshape(-1, 2)])
         f2, x2 = geo.egnn_layer(permuted, params)
         worst_perm = max(worst_perm,
                          float(np.max(np.abs(f2 - _permute_rows(f0, p)))),

@@ -15,7 +15,8 @@ Two constructions live here:
   angles are read from the half-edge index of
   :func:`gdlkit.mesh_core.half_edge_index`, which the log map builds and
   which checks that the mesh is manifold; reference neighbours are read
-  straight from the face corners.
+  straight from the face corners.  The connection keeps one array per edge
+  quantity, so transport, convolution and gauge change are edge gathers.
 
 The rotation group is discretised to the cyclic grid ``C_N``: all angles
 entering the convolution are snapped to the grid, which makes the kernel
@@ -23,6 +24,7 @@ constraint set finite and the equivariance property exact rather than
 approximate.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,19 +176,46 @@ def tangent_frames(mesh):
     return GaugeFrameField(e1=e1, e2=e2, normal=normals)
 
 
-@dataclass
+class _EdgeMap(Mapping):
+    """Read-only view of one per-edge array keyed ``(u, v)``, or ``(v, u)``
+    if ``flip``; it lists the edge index on its first read."""
+
+    def __init__(self, edge_index, values, flip=False):
+        self._index, self._values, self._flip, self._lists = edge_index, values, flip, None
+
+    def __getitem__(self, key):
+        u, v = key[::-1] if self._flip else key
+        if self._lists is None:
+            self._lists = self._index[1].tolist(), self._index[2].tolist()
+        senders, indptr = self._lists
+        ring = senders[indptr[u]:indptr[u + 1]] if 0 <= u < len(indptr) - 1 else []
+        if v not in ring:
+            raise KeyError(key)
+        return self._values[indptr[u] + ring.index(v)].item()
+
+    def __iter__(self):
+        pairs = self._index[1::-1] if self._flip else self._index[:2]
+        return zip(pairs[0].tolist(), pairs[1].tolist())
+
+    def __len__(self):
+        return self._index[0].size
+
+
 class Connection:
-    """Geodesic polar coordinates and parallel transport per directed edge.
+    """Geodesic polar coordinates and parallel transport per directed edge
+    ``e = (u, v)``, as arrays in :func:`gdlkit.graph_nn.edge_index` order:
+    ``reverse[e]`` is the edge ``(v, u)``, ``edge_theta[e]`` the angle of
+    ``v`` around ``u`` from the frame's reference direction, ``edge_radius[e]``
+    the edge length and ``edge_transport[e]`` (None until :func:`transport_angles`)
+    the rotation a vector picks up when carried from the frame at ``v`` to
+    that at ``u``.  ``theta[(u, v)]``, ``radius[(u, v)]`` and
+    ``transport[(v, u)]`` read the same values."""
 
-    ``theta[(u, v)]`` is the angle of neighbour ``v`` around ``u`` measured
-    from the frame's reference direction; ``radius[(u, v)]`` the edge
-    length; ``transport[(v, u)]`` the rotation a coordinate vector picks up
-    when carried from the frame at ``v`` to the frame at ``u``.
-    """
-
-    theta: dict
-    radius: dict
-    transport: dict
+    def __init__(self, edge_index, reverse, theta, radius, transport=None):
+        self.edge_index, self.reverse = edge_index, reverse
+        self.edge_theta, self.edge_radius, self.edge_transport = theta, radius, transport
+        self.theta, self.radius = _EdgeMap(edge_index, theta), _EdgeMap(edge_index, radius)
+        self.transport = _EdgeMap(edge_index, transport, flip=True)
 
 
 def one_ring_log_map(mesh, frames):
@@ -200,12 +229,13 @@ def one_ring_log_map(mesh, frames):
     (lowest neighbour index) at angle zero.
     """
     v = mesh.vertices
+    n = mesh.n_vertices
     index = half_edge_index(mesh)
     centre, step = index.centre, index.step
     angle = _corner_angles(v, centre, index.first, index.second)
     # column k + 1 of a vertex's row holds its k-th corner in walk order, so
     # a cumulative sum along the row puts ring vertex k at column k
-    walk = np.zeros((mesh.n_vertices, int(step.max(initial=0)) + 2))
+    walk = np.zeros((n, int(step.max(initial=0)) + 2))
     walk[centre, step + 1] = angle
     total = np.cumsum(walk, axis=1)[centre, -1]
     walk[centre, step + 1] = angle * np.where(index.boundary[centre], 1.0, TWO_PI / total)
@@ -215,16 +245,15 @@ def one_ring_log_map(mesh, frames):
     us = np.concatenate([centre, centre[fan_end]])
     nbrs = np.concatenate([index.first, index.second[fan_end]])
     steps = np.concatenate([step, step[fan_end] + 1])
-    order = np.lexsort((steps, us))
+    order = np.argsort(us * n + nbrs)
     us, nbrs, steps = us[order], nbrs[order], steps[order]
     is_ref = nbrs == _reference_neighbours(mesh)[us]
-    offset = np.zeros(mesh.n_vertices)
+    offset = np.zeros(n)
     offset[us[is_ref]] = polar[us[is_ref], steps[is_ref]]
-    theta = (polar[us, steps] - offset[us]) % TWO_PI
-    radius = np.linalg.norm(v[nbrs] - v[us], axis=1)
-    keys = list(zip(us.tolist(), nbrs.tolist()))
-    return Connection(theta=dict(zip(keys, theta.tolist())),
-                      radius=dict(zip(keys, radius.tolist())), transport={})
+    return Connection((us, nbrs, np.searchsorted(us, np.arange(n + 1))),
+                      np.searchsorted(us * n + nbrs, nbrs * n + us),
+                      (polar[us, steps] - offset[us]) % TWO_PI,
+                      np.linalg.norm(v[nbrs] - v[us], axis=1))
 
 
 def transport_angles(mesh, frames, conn):
@@ -235,10 +264,9 @@ def transport_angles(mesh, frames, conn):
     ``g_{v->u} = (theta_uv + pi) - theta_vu``.  Antisymmetry holds by
     construction.
     """
-    transport = {}
-    for (u, nbr) in conn.theta:
-        transport[(nbr, u)] = (conn.theta[(u, nbr)] + np.pi - conn.theta[(nbr, u)]) % TWO_PI
-    return Connection(theta=dict(conn.theta), radius=dict(conn.radius), transport=transport)
+    theta = conn.edge_theta
+    return Connection(conn.edge_index, conn.reverse, theta, conn.edge_radius,
+                      (theta + np.pi - theta[conn.reverse]) % TWO_PI)
 
 
 def _star_corners(mesh):
@@ -286,10 +314,10 @@ def ring_holonomy(mesh, conn):
     the curvature of :func:`enclosed_curvature` (discrete Gauss-Bonnet).
     """
     index = half_edge_index(mesh)
-    transport = np.fromiter(
-        (conn.transport[edge] for edge in zip(index.first.tolist(), index.second.tolist())),
-        dtype=float, count=index.first.size)
-    holonomy = np.bincount(index.centre, weights=transport, minlength=mesh.n_vertices) % TWO_PI
+    receivers, senders, _ = conn.edge_index
+    n = mesh.n_vertices
+    edge = np.searchsorted(receivers * n + senders, index.second * n + index.first)
+    holonomy = np.bincount(index.centre, weights=conn.edge_transport[edge], minlength=n) % TWO_PI
     holonomy[index.boundary] = np.nan
     return holonomy
 
@@ -407,29 +435,18 @@ def kernel_constraint_residual(kernel):
     """Largest violation of the two constraint families; valid kernels are
     at numerical zero."""
     n_bins = kernel.n_bins
-    worst = 0.0
-    for step in range(n_bins):
-        alpha = TWO_PI * step / n_bins
-        rin = rep_matrix(kernel.orders_in, alpha)
-        rout = rep_matrix(kernel.orders_out, alpha)
-        worst = max(worst, np.max(np.abs(kernel.theta_self @ rin - rout @ kernel.theta_self)))
-        for b in range(n_bins):
-            lhs = kernel.theta_neigh[(b + step) % n_bins] @ rin
-            rhs = rout @ kernel.theta_neigh[b]
-            worst = max(worst, np.max(np.abs(lhs - rhs)))
-    return float(worst)
+    steps = np.arange(n_bins)
+    rin = rep_matrix(kernel.orders_in, TWO_PI * steps / n_bins)[:, None]
+    rout = rep_matrix(kernel.orders_out, TWO_PI * steps / n_bins)[:, None]
+    shifted = kernel.theta_neigh[(steps[:, None] + steps) % n_bins]  # [step, b]: bin b + step
+    return float(max(np.max(np.abs(kernel.theta_self @ rin - rout @ kernel.theta_self)),
+                     np.max(np.abs(shifted @ rin - rout @ kernel.theta_neigh))))
 
 
 def snap_angle(angle, n_bins):
     """Nearest grid angle in ``C_N``."""
     step = TWO_PI / n_bins
     return (np.round(angle / step) % n_bins) * step
-
-
-def _edge_arrays(table):
-    """Keys (m, 2) and values (m,) of an edge-keyed dict, in dict order."""
-    keys = np.array(list(table), dtype=int).reshape(-1, 2)
-    return keys, np.fromiter(table.values(), dtype=float, count=keys.shape[0])
 
 
 def gauge_conv(mesh, conn, kernel, x):
@@ -442,17 +459,12 @@ def gauge_conv(mesh, conn, kernel, x):
         raise ValueError("feature width must match the input type")
     if kernel_constraint_residual(kernel) > 1e-8:
         raise ValueError("kernel violates the gauge constraints")
-    pairs, theta = _edge_arrays(conn.theta)
-    back, transport = _edge_arrays(conn.transport)  # keyed (v, u)
-    # the (unique) edges by receiver, then sender: the order of an edge index
-    order, back_order = np.lexsort((pairs[:, 1], pairs[:, 0])), np.lexsort(back.T)
-    if not np.array_equal(back[back_order], pairs[order][:, ::-1]):
-        raise ValueError("polar angles and transports must cover the same directed edges")
-    receivers, senders = pairs[order].T
-    indptr = np.searchsorted(receivers, np.arange(mesh.n_vertices + 1))
+    _, senders, indptr = conn.edge_index
+    if indptr.size != mesh.n_vertices + 1:
+        raise ValueError("connection was built on a mesh with another vertex count")
     n_bins = kernel.n_bins
-    bins = np.round(theta[order] / (TWO_PI / n_bins)).astype(int) % n_bins
-    rho = rep_matrix(kernel.orders_in, snap_angle(transport[back_order], n_bins))
+    bins = np.round(conn.edge_theta / (TWO_PI / n_bins)).astype(int) % n_bins
+    rho = rep_matrix(kernel.orders_in, snap_angle(conn.edge_transport, n_bins))
     moved = np.einsum("eij,ej->ei", rho, x[senders])
     msgs = np.einsum("eij,ej->ei", kernel.theta_neigh[bins], moved)
     return x @ kernel.theta_self.T + tree_sum(msgs, indptr)
@@ -474,12 +486,9 @@ def gauge_transform(frames, conn, x, angles, orders):
         e2=-sin * frames.e1 + cos * frames.e2,
         normal=frames.normal.copy(),
     )
-    pairs, theta = _edge_arrays(conn.theta)
-    back, transport = _edge_arrays(conn.transport)  # keyed (v, u)
+    receivers, senders, _ = conn.edge_index
     new_conn = Connection(
-        theta=dict(zip(conn.theta, (theta - angles[pairs[:, 0]]) % TWO_PI)),
-        radius=dict(conn.radius),
-        transport=dict(zip(conn.transport,
-                           (transport - angles[back[:, 1]] + angles[back[:, 0]]) % TWO_PI)))
+        conn.edge_index, conn.reverse, (conn.edge_theta - angles[receivers]) % TWO_PI,
+        conn.edge_radius, (conn.edge_transport - angles[receivers] + angles[senders]) % TWO_PI)
     new_x = np.einsum("nij,nj->ni", rep_matrix(orders, -angles), x)
     return new_frames, new_conn, new_x

@@ -146,8 +146,9 @@ def permute_graph(g, p):
     adj = sp.csr_matrix((g.adjacency.data, (p[receivers], p[senders])), shape=(g.n, g.n))
     feats = np.empty_like(g.features)
     feats[p] = g.features
-    return Graph(adjacency=adj, features=feats, undirected=g.undirected,
-                 allow_self_loops=g.allow_self_loops)
+    h = Graph(adjacency=adj, features=feats, undirected=False, allow_self_loops=g.allow_self_loops)
+    object.__setattr__(h, "undirected", g.undirected)  # relabelling keeps adj == adj.T
+    return h
 
 
 def tree_sum(values, indptr):

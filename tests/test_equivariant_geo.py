@@ -3,7 +3,7 @@ import pytest
 
 from gdlkit import equivariant_geo as geo
 from gdlkit import mesh_core
-from gdlkit.graph_nn import mlp_init
+from gdlkit.graph_nn import adjacency_from_edges, edge_index, mlp_init
 from gdlkit.rng import substream
 
 TWO_PI = 2.0 * np.pi
@@ -231,7 +231,8 @@ class TestFramesAndLogMap:
         e1, normals, theta, radius, boundary = loop_frames_and_log_map(mesh)
         assert np.max(np.abs(frames.e1 - e1)) <= 1e-12
         assert np.max(np.abs(frames.normal - normals)) <= 1e-12
-        assert list(conn.theta) == list(theta) and list(conn.radius) == list(radius)
+        # the mappings list the edges in edge-index order: by centre, then neighbour
+        assert list(conn.theta) == sorted(theta) and list(conn.radius) == sorted(radius)
         assert all(angle_close(conn.theta[k], theta[k], 1e-12) for k in theta)
         assert max(abs(conn.radius[k] - radius[k]) for k in radius) <= 1e-12
         assert np.flatnonzero(mesh_core.half_edge_index(mesh).boundary).tolist() == boundary
@@ -318,6 +319,48 @@ class TestFramesAndLogMap:
             geo.transport_angles(bowtie, frames, geo.one_ring_log_map(bowtie, frames))
 
 
+class TestConnectionLayout:
+    MESHES = [mesh_core.icosphere(2), mesh_core.jitter_mesh(mesh_core.icosphere(3), 0.05, seed=3),
+              flat_hexagon_patch(), open_cap(mesh_core.icosphere(3), 0.3)]
+    IDS = ["icosphere2", "jittered-icosphere3", "hexagon-fan", "open-cap"]
+
+    @pytest.mark.parametrize("mesh", MESHES, ids=IDS)
+    def test_edge_order_is_the_mesh_edge_index(self, mesh):
+        f = mesh.faces
+        sides = np.concatenate([f[:, :2], f[:, 1:], f[:, ::2]])
+        adjacency = adjacency_from_edges(mesh.n_vertices, sides)
+        conn = connection_of(mesh)
+        for ours, reference in zip(conn.edge_index, edge_index(adjacency)):
+            assert np.array_equal(ours, reference)
+        assert conn.edge_theta.shape == conn.edge_radius.shape == conn.edge_transport.shape
+
+    @pytest.mark.parametrize("mesh", MESHES, ids=IDS)
+    def test_reverse_is_an_involution_pairing_each_edge_with_its_partner(self, mesh):
+        conn = connection_of(mesh)
+        receivers, senders, _ = conn.edge_index
+        rev = conn.reverse
+        assert np.array_equal(rev[rev], np.arange(rev.size))
+        assert np.array_equal(receivers[rev], senders)
+        assert np.array_equal(senders[rev], receivers)
+
+    def test_mappings_read_the_arrays(self):
+        conn = connection_of(flat_hexagon_patch())
+        receivers, senders, _ = conn.edge_index
+        for e, (u, v) in enumerate(zip(receivers, senders)):
+            assert conn.theta[(u, v)] == conn.edge_theta[e]
+            assert conn.radius[(int(u), int(v))] == conn.edge_radius[e]
+            assert conn.transport[(v, u)] == conn.edge_transport[e]
+        assert len(conn.theta) == len(conn.transport) == receivers.size
+        assert set(conn.transport) == set(conn.theta)
+        # rim vertices 1 and 4 face each other across the centre: no edge
+        for view, key in ((conn.theta, (1, 4)), (conn.radius, (4, 1)), (conn.transport, (0, 0))):
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
+        with pytest.raises(TypeError):
+            conn.theta[(0, 1)] = 0.0
+
+
 class TestTransport:
     def test_flat_mesh_aligned_frames_zero_transport(self):
         # all frames on a flat patch share the plane; transports reduce to
@@ -330,9 +373,10 @@ class TestTransport:
         frames = geo.GaugeFrameField(e1=e1, e2=e2, normal=nrm)
         conn = geo.one_ring_log_map(mesh, frames)
         # overwrite reference offsets: recompute theta against global e1
-        for (u, v) in list(conn.theta):
-            edge = mesh.vertices[v] - mesh.vertices[u]
-            conn.theta[(u, v)] = np.arctan2(edge[1], edge[0]) % TWO_PI
+        receivers, senders, _ = conn.edge_index
+        edge = mesh.vertices[senders] - mesh.vertices[receivers]
+        conn = geo.Connection(conn.edge_index, conn.reverse,
+                              np.arctan2(edge[:, 1], edge[:, 0]) % TWO_PI, conn.edge_radius)
         conn = geo.transport_angles(mesh, frames, conn)
         for key, g in conn.transport.items():
             assert angle_close(g, 0.0, 1e-10)
@@ -505,14 +549,12 @@ class TestGaugeConv:
         with pytest.raises(ValueError, match="constraint"):
             geo.gauge_conv(mesh, conn, bad, np.zeros((mesh.n_vertices, 2)))
 
-    def test_connection_missing_a_transport_rejected(self, sphere_connection):
-        mesh, _, conn = sphere_connection
-        transport = dict(conn.transport)
-        del transport[next(iter(transport))]
-        partial = geo.Connection(theta=conn.theta, radius=conn.radius, transport=transport)
+    def test_connection_of_another_mesh_rejected(self, sphere_connection):
+        _, _, conn = sphere_connection
+        other = mesh_core.icosphere(1)
         kernel = geo.kernel_constraint_basis((0,), (0,), 4)[0]
-        with pytest.raises(ValueError, match="same directed edges"):
-            geo.gauge_conv(mesh, partial, kernel, np.zeros((mesh.n_vertices, 1)))
+        with pytest.raises(ValueError, match="another vertex count"):
+            geo.gauge_conv(other, conn, kernel, np.zeros((other.n_vertices, 1)))
 
 
 class TestGaugeTransform:

@@ -73,6 +73,20 @@ class TestPermuteGraph:
         edges = {(min(a, b), max(a, b)) for a, b in zip(rows, cols)}
         assert edges == {(0, 2), (0, 1)}
 
+    def test_relabelling_keeps_direction_flags(self):
+        rng = np.random.default_rng(4)
+        p = rng.permutation(6)
+        undirected = random_graph(6, 2, rng)
+        h = permute_graph(undirected, p)
+        assert h.undirected and (h.adjacency != h.adjacency.T).nnz == 0
+        arcs = sp.csr_matrix((np.ones(5), (np.arange(5), np.arange(1, 6))), shape=(6, 6))
+        directed = Graph(adjacency=arcs, features=np.eye(6), undirected=False)
+        h = permute_graph(directed, p)
+        assert not h.undirected
+        assert set(zip(*h.adjacency.nonzero())) == {(p[u], p[u + 1]) for u in range(5)}
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute_graph(directed, np.zeros(6, dtype=int))
+
     def test_non_integral_permutation_rejected(self):
         # truncation would read [0.9, 1.0, 2.5] as the identity [0, 1, 2]
         with pytest.raises(ValueError, match="not a permutation"):
