@@ -333,12 +333,14 @@ def _cmd_rnn_shift_equivariance(args, seed):
     h0, trace = seq_models.rnn_fixed_point(params, tol=1e-13)
     z = rng.standard_normal((args.T, args.m))
     padded = seq_models.pad_left(z, 3)
-    base = seq_models.simple_rnn_forward(padded, h0, params)
-    worst = 0.0
-    for s in (1, 2, 3):
-        shifted = padded[s:]
-        out = seq_models.simple_rnn_forward(shifted, h0, params)
-        worst = max(worst, float(np.max(np.abs(out - base[s:]))))
+    # sequence s of one batch is padded[s:], with s trailing zero rows whose
+    # outputs are never read; sequence 0 is the unshifted base
+    batch = np.zeros((args.T + 3, 4, args.m))
+    for s in range(4):
+        batch[:args.T + 3 - s, s] = padded[s:]
+    out = seq_models.simple_rnn_forward(batch, h0, params)
+    worst = max(float(np.max(np.abs(out[:args.T + 3 - s, s] - out[s:, 0])))
+                for s in (1, 2, 3))
     params_out = {"T": args.T, "m": args.m}
     metrics = {"max_deviation": worst, "fixed_point_residual": trace[-1]}
     verdicts = {"shift_equivariant": worst <= 1e-10,
@@ -471,7 +473,7 @@ def dispatch(argv):
     start = time.perf_counter()
     try:
         parameters, metrics, verdicts, payload = args.runner(args, seed)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"gdlkit: error: {exc}", file=sys.stderr)
         return 2, None
     report = Report(command=command, parameters=parameters, metrics=metrics,

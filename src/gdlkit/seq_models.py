@@ -3,7 +3,10 @@ fixed-point initial state (which buys equivariance to padded shifts), the
 LSTM, the gated time-warping-invariant form, chrono gate initialisation,
 and dilation-style time warping of sequences.
 
-Sequences are ``(T, k)`` arrays, one row per step.
+Sequences are ``(T, k)`` arrays, one row per step.  ``simple_rnn_forward``
+also takes a time-major batch ``(T, B, k)`` of independent sequences, whose
+step is one small GEMM ``H U^T`` for all of them; on one sequence that
+product is the mat-vec ``U h``, bit for bit.
 
 Every forward recurrence runs in two phases.  The input term of a step does
 not depend on the state, so one matrix product ``z @ W.T`` projects the
@@ -36,10 +39,10 @@ def _clamp_gates(g):
     return np.minimum(g, _GATE_CEIL, out=g)
 
 
-def _check_sequence(z):
+def _check_sequence(z, batch=False):
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2:
-        raise ValueError("sequence must be (steps, width)")
+    if z.ndim not in ((2, 3) if batch else (2,)):
+        raise ValueError("sequence must be (steps, width)" + " or (steps, batch, width)" * batch)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite sequence values")
     return z
@@ -99,17 +102,27 @@ def simple_rnn_params(input_width, state_width, seed, scale=1.0):
 
 
 def simple_rnn_forward(z, h0, params):
-    """All ``T`` summaries of the recurrence, seeded with ``h0``."""
-    z = _check_sequence(z)
+    """All summaries of the recurrence, seeded with ``h0``: ``(T, m)`` for one
+    sequence ``(T, k)``, ``(T, B, m)`` for a time-major batch ``(T, B, k)``,
+    with ``h0`` shaped ``(m,)`` (shared by the batch) or ``(B, m)``."""
+    z = _check_sequence(z, batch=True)
     h = np.asarray(h0, dtype=float)
-    if z.shape[1] != params.input_width or h.shape != (params.state_width,):
-        raise ValueError("width mismatch")
+    if z.shape[-1] != params.input_width:
+        raise ValueError(f"sequence width {z.shape[-1]}, expected {params.input_width}")
+    row_shape = z.shape[1:-1] + (params.state_width,)
+    shapes = list(dict.fromkeys([(params.state_width,), row_shape]))
+    if h.shape not in shapes:
+        raise ValueError(f"initial state has shape {h.shape}, expected "
+                         + " or ".join(map(str, shapes)))
     summaries = z @ params.w.T
-    recurrent = np.empty(params.state_width)
+    h = np.broadcast_to(h, row_shape)
+    # adding the bias by broadcasting costs more than the GEMM (B = 4, m = 32)
+    u_t, b = params.u.T, np.ascontiguousarray(np.broadcast_to(params.b, row_shape))
+    recurrent = np.empty(row_shape)
     for row in summaries:
-        np.dot(params.u, h, out=recurrent)
+        np.dot(h, u_t, out=recurrent)
         row += recurrent
-        row += params.b
+        row += b
         h = np.tanh(row, out=row)
     return summaries
 

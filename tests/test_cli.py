@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gdlkit
-from gdlkit import mesh_core
+from gdlkit import mesh_core, seq_models
 from gdlkit.cli import _random_geometric_graph, _random_graph, dispatch
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdlkit.__file__)))
@@ -42,6 +42,17 @@ def test_failing_verdict_exits_1(capsys):
     code, out, _ = run(capsys, ["mesh", "stability", "--kind", "cayley"])
     assert code == 1
     assert not all(json.loads(out)["verdicts"].values())
+
+
+def test_shift_verdict_fails_off_the_fixed_point(capsys, monkeypatch):
+    def off_fixed_point(params, tol):
+        return np.full(params.state_width, 0.7), [0.0]
+
+    monkeypatch.setattr(seq_models, "rnn_fixed_point", off_fixed_point)
+    code, out, _ = run(capsys, ["rnn", "shift-equivariance", "--T", "30", "--m", "5"])
+    assert code == 1
+    assert json.loads(out)["verdicts"] == {"shift_equivariant": False,
+                                           "fixed_point_converged": True}
 
 
 def test_usage_error_exits_2(capsys):
@@ -81,6 +92,9 @@ def test_usage_error_exits_2(capsys):
      "cyclic order 100000 exceeds the closure cap of 1024 elements"),
     (["group", "table", "--name", "Z1025"],
      "cyclic order 1025 exceeds the closure cap of 1024 elements"),
+    # 2**48 bytes and more: numpy refuses these before allocating anything
+    (["rnn", "shift-equivariance", "--m", "10000000"], "Unable to allocate 728. TiB"),
+    (["lstm", "chrono", "--m", str(2 ** 45)], "Unable to allocate 256. TiB"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:

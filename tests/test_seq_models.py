@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdlkit.rng import substream
 from gdlkit.seq_models import (
@@ -87,6 +89,40 @@ class TestSimpleRnn:
         params = simple_rnn_params(2, 3, seed=4)
         with pytest.raises(ValueError):
             simple_rnn_forward(np.zeros((4, 5)), np.zeros(3), params)
+
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 6), st.integers(1, 6),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_members_match_single_sequences(self, steps, batch, k, m, shared, seed):
+        rng = np.random.default_rng(seed)
+        params = simple_rnn_params(k, m, seed=seed % 1000)
+        z = rng.standard_normal((steps, batch, k))
+        h0 = rng.standard_normal(m if shared else (batch, m))
+
+        def single(b):
+            return simple_rnn_forward(z[:, b], h0 if shared else h0[b], params)
+
+        out = simple_rnn_forward(z, h0, params)
+        assert out.shape == (steps, batch, m)
+        for b in range(batch):
+            assert np.max(np.abs(out[:, b] - single(b))) <= 1e-12
+        one = simple_rnn_forward(z[:, :1], h0 if shared else h0[:1], params)
+        assert one.shape == (steps, 1, m)
+        assert np.max(np.abs(one[:, 0] - single(0))) <= 1e-12
+
+    @pytest.mark.parametrize("z, h0, reason", [
+        (np.full((4, 2, 2), np.nan), np.zeros(3), "non-finite sequence values"),
+        (np.zeros((4, 2, 5)), np.zeros(3), "sequence width 5, expected 2"),
+        (np.zeros((4, 2, 2)), np.zeros((3, 3)), "initial state has shape (3, 3), expected (3,) or (2, 3)"),
+        (np.zeros((4, 2, 2)), np.zeros(2), "initial state has shape (2,), expected"),
+        (np.zeros((4, 2)), np.zeros((2, 3)), "initial state has shape (2, 3), expected (3,)"),
+        (np.zeros((4, 1, 2, 2)), np.zeros(3), "sequence must be (steps, width) or"),
+    ])
+    def test_bad_batch_rejected_in_one_line(self, z, h0, reason):
+        params = simple_rnn_params(2, 3, seed=4)
+        with pytest.raises(ValueError, match=re.escape(reason)) as info:
+            simple_rnn_forward(z, h0, params)
+        assert "\n" not in str(info.value)
 
 
 class TestFixedPoint:
