@@ -2,12 +2,15 @@
 breadth-first closure from generators, permutation actions on index
 domains, matrix representations, and group convolution (including the
 transform+convolve factorisation over a translation-normalising subgroup).
+Actions and representations are checked by :func:`_check_homomorphism`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .graph_nn import check_permutation
 from .grid_signals import cross_correlate
 
 CLOSURE_CAP = 1024
@@ -18,24 +21,22 @@ class FiniteGroup:
     """Composition table ``table[i, j] = index of g_i g_j``, identity first."""
 
     table: np.ndarray
-    identity: int = 0
-    inverses: np.ndarray = field(default=None)
+    identity = 0  # a class constant, not a field
 
     @property
     def order(self):
         return self.table.shape[0]
 
+    @cached_property
+    def inverses(self):
+        """``inverses[g]`` is the index of ``g^{-1}``, the first ``h`` with ``g h = e``."""
+        return np.argmax(self.table == self.identity, axis=1)
+
 
 @dataclass(frozen=True)
 class GroupAction:
-    """Permutation of a fixed index domain per group element.
-
-    ``perms[g][u]`` is the image ``g.u``.  ``group.table`` must be a group
-    table (associative, with identity): the composition check then reads
-    only the columns of a generating set, because by associativity the
-    elements ``h`` with ``g.(h.u) = (gh).u`` for every ``g`` and ``u`` are
-    closed under products.
-    """
+    """Permutation of a fixed index domain per group element: ``perms`` of
+    shape ``(order, n)`` holds the image ``g.u`` at ``perms[g][u]``."""
 
     group: FiniteGroup
     perms: np.ndarray
@@ -45,22 +46,20 @@ class GroupAction:
         return self.perms.shape[1]
 
     def __post_init__(self):
-        g = self.group
-        if self.perms.shape[0] != g.order:
-            raise ValueError("one permutation per group element required")
-        if not np.array_equal(self.perms[g.identity], np.arange(self.domain_size)):
+        g, p = self.group, self.perms
+        if p.ndim != 2 or p.shape[0] != g.order:
+            raise ValueError(f"perms of shape {p.shape}, expected (order={g.order}, n)")
+        if not np.array_equal(p[g.identity], np.arange(self.domain_size)):
             raise ValueError("identity must act as the identity permutation")
-        for j in _generating_set(g.table, g.identity):
-            # row i: g_i . (g_j . u) against (g_i g_j) . u
-            bad = np.any(self.perms[:, self.perms[j]] != self.perms[g.table[:, j]], axis=1)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"action not compatible with composition at ({i}, {j})")
+        # row i: g_i . (g_j . u) against (g_i g_j) . u
+        _check_homomorphism(g, p, lambda a, b: a[:, b], lambda a, b: np.all(a == b, axis=1),
+                            "action not compatible with composition")
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Invertible matrix per group element with ``rho(gh) = rho(g) rho(h)``."""
+    """Matrix per group element, ``(order, d, d)``, with ``rho(gh) = rho(g) rho(h)``;
+    each is invertible, as ``rho(g) rho(g^{-1}) = rho(e) = I``."""
 
     group: FiniteGroup
     matrices: np.ndarray
@@ -70,19 +69,27 @@ class Representation:
         return self.matrices.shape[1]
 
     def __post_init__(self):
-        g = self.group
-        if self.matrices.shape[0] != g.order:
-            raise ValueError("one matrix per group element required")
-        if not np.allclose(self.matrices[g.identity], np.eye(self.dimension), atol=1e-10):
+        g, m = self.group, self.matrices
+        if m.ndim != 3 or m.shape[0] != g.order or m.shape[1] != m.shape[2]:
+            raise ValueError(f"matrices of shape {m.shape}, expected (order={g.order}, d, d)")
+        if not np.allclose(m[g.identity], np.eye(self.dimension), atol=1e-10):
             raise ValueError("rho(identity) must be the identity matrix")
-        singular = np.abs(np.linalg.det(self.matrices)) < 1e-12
-        for i in range(g.order):
-            if singular[i]:
-                raise ValueError(f"rho(g_{i}) is singular")
-            prod = self.matrices[i] @ self.matrices
-            bad = ~np.all(np.isclose(prod, self.matrices[g.table[i]], atol=1e-10), axis=(1, 2))
-            if bad.any():
-                raise ValueError(f"homomorphism fails at ({i}, {int(np.argmax(bad))})")
+        _check_homomorphism(g, m, np.matmul,
+                            lambda a, b: np.all(np.isclose(a, b, atol=1e-10), axis=(1, 2)),
+                            "homomorphism fails")
+
+
+def _check_homomorphism(group, images, compose, equal, reason):
+    """Raise ``ValueError(f"{reason} at ({i}, {j})")`` at the first row ``i`` where
+    ``compose(images, images[j])`` is not ``equal`` to ``images[table[:, j]]``,
+    for ``j`` in a generating set S of the group table, with ``rho(e)`` the identity.
+    By associativity the ``h`` with ``rho(g) rho(h) = rho(gh)`` for every ``g`` are
+    closed under products (``rho(g) rho(ab) = rho(ga) rho(b) = rho(gab)``), so
+    passing on S passes on every pair, in O(order |S|) compositions."""
+    for j in _generating_set(group.table, group.identity):
+        bad = ~equal(compose(images, images[j]), images[group.table[:, j]])
+        if bad.any():
+            raise ValueError(f"{reason} at ({int(np.argmax(bad))}, {j})")
 
 
 def _generating_set(table, identity):
@@ -106,16 +113,6 @@ def _generating_set(table, identity):
     return picks
 
 
-def _as_permutation(p, domain_size):
-    p = np.asarray(p)
-    if p.dtype.kind == "f" and not np.all(np.isfinite(p) & (p == np.round(p))):
-        raise ValueError("generator is not a permutation of the domain")
-    p = p.astype(int)
-    if p.shape != (domain_size,) or not np.array_equal(np.sort(p), np.arange(domain_size)):
-        raise ValueError("generator is not a permutation of the domain")
-    return p
-
-
 def group_from_generators(domain_size, generators):
     """Close a generating set of permutations under composition.
 
@@ -123,7 +120,7 @@ def group_from_generators(domain_size, generators):
     first, which keeps indices deterministic for golden tests.  Raises if
     the closure exceeds ``CLOSURE_CAP`` elements.
     """
-    gens = [_as_permutation(p, domain_size) for p in generators]
+    gens = [check_permutation(p, domain_size) for p in generators]
     identity = np.arange(domain_size)
     elements = [identity]
     index = {identity.tobytes(): 0}
@@ -150,7 +147,7 @@ def group_from_generators(domain_size, generators):
     for j in range(1, order):
         # g_i g_j = (g_i g_parent) s
         table[:, j] = right[table[:, parent[j]], via[j]]
-    group = FiniteGroup(table=table, identity=0, inverses=np.argmax(table == 0, axis=1))
+    group = FiniteGroup(table=table)
     # The action check composes the distinct generated permutations against
     # the table, which is what makes the table a group.
     return group, GroupAction(group=group, perms=np.stack(elements))
@@ -291,7 +288,7 @@ def transform_convolve(x, theta, h_perms):
     n, c = x.shape
     out = np.empty((len(h_perms), n))
     for row, perm in enumerate(h_perms):
-        perm = _as_permutation(perm, n * c)
+        perm = check_permutation(perm, n * c)
         inv = np.argsort(perm)
         if not _normalises_translations(perm, inv, n, c):
             raise ValueError(f"subgroup element {row} does not normalise translations")

@@ -126,12 +126,13 @@ def graph_from_edges(n, edges, features):
 
 
 def check_permutation(p, n):
+    """``p`` as ints if it permutes ``range(n)``; float entries must be integral."""
     p = np.asarray(p)
     if p.dtype.kind == "f" and not np.all(np.isfinite(p) & (p == np.round(p))):
-        raise ValueError("not a permutation of the node set")
+        raise ValueError(f"not a permutation of range({n})")
     p = p.astype(int)
     if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
-        raise ValueError("not a permutation of the node set")
+        raise ValueError(f"not a permutation of range({n})")
     return p
 
 

@@ -2,6 +2,7 @@
 fails, 2 with a one-line reason on bad input, and report bytes that are a
 pure function of (argv, seed, inputs)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -124,6 +125,23 @@ def test_group_table_at_the_closure_cap(capsys):
     report = json.loads(out)
     assert report["order"] == 1024 and len(report["table"]) == 1024
     assert report["verdicts"] == {"axioms_pass": True}
+
+
+# sha256 of the reports at --seed 7: element indices follow the breadth-first
+# closure, and a reordering of the elements changes these bytes
+GROUP_TABLE_DIGESTS = {
+    "D3": "05f7a48ece8283ee3c1313387526ef5a349f84095de5349482b6c125cb9cb4c5",
+    "Oh": "b49b35ecfa3a38e0e98d03331162b1074e664718410d243aa0e0f17afb167eb6",
+    "revcomp": "aa9097e8734e7007272edb276d6ed7995d5afc9f0f871445e8a3f2b5cf607ab4",
+    "Z12": "efed46062cd494acf04aaec0e69bda8c083e920a220c41e11ba898b29837f871",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_TABLE_DIGESTS))
+def test_group_table_reports_are_pinned(capsys, name):
+    code, out, _ = run(capsys, ["--seed", "7", "group", "table", "--name", name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUP_TABLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from gdlkit.finite_groups import (
     FiniteGroup,
     GroupAction,
     Representation,
+    _generating_set,
 )
 
 # one-hot DNA encoding in (A, C, G, T) order
@@ -94,14 +97,14 @@ class TestAxioms:
         group, _ = group_from_generators(4, [(np.arange(4) + 1) % 4])
         table = group.table.copy()
         table[1, 1] = 1  # 1*1 should be 2 in Z4
-        bad = FiniteGroup(table=table, identity=0, inverses=group.inverses.copy())
+        bad = FiniteGroup(table=table)
         report = verify_group_axioms(bad)
         assert not report.all_pass()
         assert report.witness == (1, 1, 2)  # (1 1) 2 = 1 + 2 = 3, but 1 (1 2) = 1 + 3 = 0
 
     def test_non_associative_loop_fails_on_associativity(self):
         table = LOOP5
-        report = verify_group_axioms(FiniteGroup(table=table, identity=0))
+        report = verify_group_axioms(FiniteGroup(table=table))
         assert report.closure and report.identity and not report.associativity
         x, s, y = report.witness
         assert table[table[x, s], y] != table[x, table[s, y]]
@@ -149,7 +152,7 @@ def small_group_tables(draw):
 @given(small_group_tables())
 @settings(max_examples=150, deadline=None)
 def test_axiom_verdict_matches_exhaustive_oracle(table):
-    report = verify_group_axioms(FiniteGroup(table=table, identity=0))
+    report = verify_group_axioms(FiniteGroup(table=table))
     failing = first_failing_axiom(table, 0)
     assert report.all_pass() == (failing is None)
     if failing is None:
@@ -168,13 +171,17 @@ def test_axiom_verdict_matches_exhaustive_oracle(table):
         assert not np.any((table[x] == 0) & (table[:, x] == 0))
 
 
-def test_action_corrupted_at_a_non_generator_row_raises():
+@pytest.mark.parametrize("make, reason", [
+    (GroupAction, "action not compatible with composition"),
+    (Representation, "homomorphism fails"),
+])
+def test_corrupted_at_a_non_generator_row_raises(make, reason):
     group, action = group_from_generators(27, cube_rotation_generators())
     # elements 1 and 2 are the two generators; element 5 is a product of them
-    perms = action.perms.copy()
-    perms[5] = perms[6]
-    with pytest.raises(ValueError, match="action not compatible with composition"):
-        GroupAction(group, perms)
+    data = (action.perms if make is GroupAction else regular_representation(group).matrices).copy()
+    data[5] = data[6]
+    with pytest.raises(ValueError, match=reason):
+        make(group, data)
 
 
 def test_action_compatible_on_one_generator_only_raises():
@@ -188,17 +195,22 @@ def test_action_compatible_on_one_generator_only_raises():
     perms[[2, 3]] = perms[[2, 3]][:, turn]
     with pytest.raises(ValueError, match=r"action not compatible with composition at \(2, 2\)"):
         GroupAction(group, perms)
+    # its permutation representation, e_u -> e_{g.u}, fails at the same pair
+    matrices = np.zeros((4, 7, 7))
+    matrices[np.arange(4)[:, None], perms, np.arange(7)] = 1.0
+    with pytest.raises(ValueError, match=r"homomorphism fails at \(2, 2\)"):
+        Representation(group, matrices)
 
 
-# Z4 with element 1 given the action (or matrix) of element 3.  The action
-# check scans the generator column 1 and first breaks at (2, 1); the
-# representation check scans rows, and element 1 squares to element 2
-# correctly, so its first broken pair is (1, 2).
+# Z4 with element 1 (its generator) given the action or matrix of element 3,
+# or the zero matrix.  Both checks scan the generator column 1: element 1
+# squares to element 2 correctly, so the first broken pair is (2, 1); the
+# zero matrix squares to zero, not to rho(g_2), and breaks at (1, 1).
 @pytest.mark.parametrize("make, row, source, reason", [
     (GroupAction, 1, 3, r"action not compatible with composition at \(2, 1\)"),
     (GroupAction, 0, 1, "identity must act as the identity permutation"),
-    (Representation, 1, None, r"rho\(g_1\) is singular"),
-    (Representation, 1, 3, r"homomorphism fails at \(1, 2\)"),
+    (Representation, 1, None, r"homomorphism fails at \(1, 1\)"),
+    (Representation, 1, 3, r"homomorphism fails at \(2, 1\)"),
 ])
 def test_caller_input_checks_name_the_first_failure(make, row, source, reason):
     group, action = group_from_generators(4, [(np.arange(4) + 1) % 4])
@@ -207,6 +219,70 @@ def test_caller_input_checks_name_the_first_failure(make, row, source, reason):
     with pytest.raises(ValueError, match=reason):
         make(group, data)
 
+
+@pytest.mark.parametrize("make, data, shape", [
+    (GroupAction, np.arange(4), r"\(order=4, n\)"),
+    (Representation, np.zeros(4), r"\(order=4, d, d\)"),
+    (Representation, np.zeros((4, 2, 3)), r"\(order=4, d, d\)"),
+])
+def test_wrong_shapes_name_the_expected_shape(make, data, shape):
+    group, _ = group_from_generators(4, [(np.arange(4) + 1) % 4])
+    with pytest.raises(ValueError, match=shape):
+        make(group, data)
+
+
+@st.composite
+def corrupted_regular_representations(draw):
+    """Regular representation of the closure of up to three permutations of
+    at most four points, with possibly one matrix, a generator's or not,
+    replaced by another element's or by zero, or with one entry moved."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+    group, _ = group_from_generators(d, [np.array(g) for g in gens])
+    matrices = regular_representation(group).matrices.copy()
+    n = group.order
+    kind = draw(st.sampled_from(["none", "element", "zero", "entry"]))
+    g = draw(st.integers(0, n - 1))
+    if kind == "element":
+        matrices[g] = matrices[draw(st.integers(0, n - 1))]
+    elif kind == "zero":
+        matrices[g] = 0.0
+    elif kind == "entry":
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrices[g, a, b] += draw(st.sampled_from([-1.0, 1.0, 1e-3, 1e-12]))
+    return group, matrices
+
+
+@given(corrupted_regular_representations())
+@settings(max_examples=150, deadline=None)
+def test_representation_check_matches_all_pairs_oracle(case):
+    group, matrices = case
+    # [i, j]: rho(g_i) rho(g_j) against rho(g_i g_j), every pair
+    products = np.einsum("iab,jbc->ijac", matrices, matrices)
+    broken = ~np.all(np.isclose(products, matrices[group.table], atol=1e-10), axis=(2, 3))
+    unit = np.allclose(matrices[0], np.eye(group.order), atol=1e-10)
+    if unit and not broken.any():
+        Representation(group, matrices)
+        return
+    with pytest.raises(ValueError) as caught:
+        Representation(group, matrices)
+    if not unit:  # the zero map of the trivial group breaks no pair
+        assert str(caught.value) == "rho(identity) must be the identity matrix"
+        return
+    witness = re.fullmatch(r"homomorphism fails at \((\d+), (\d+)\)", str(caught.value))
+    i, j = int(witness[1]), int(witness[2])
+    assert broken[i, j] and j in _generating_set(group.table, 0)
+
+
+def test_a_table_alone_derives_its_inverses_for_convolution():
+    closed, action = group_from_generators(4, [(np.arange(4) + 1) % 4])
+    group = FiniteGroup(table=closed.table)
+    x, theta = np.random.default_rng(12).standard_normal((2, 4))
+    out = group_self_convolve(x, theta, group)
+    assert out.shape == (4,) and np.array_equal(out, group_self_convolve(x, theta, closed))
+    out = group_convolve(x, theta, GroupAction(group, action.perms))
+    assert out.shape == (4,) and np.array_equal(out, group_convolve(x, theta, action))
+    assert np.array_equal(group.inverses, [0, 3, 2, 1])
 
 class TestRegularRepresentation:
     def test_trivial_group(self):
