@@ -300,6 +300,8 @@ def _parse_orders(text):
 
 
 def _cmd_gauge_equivariance(args, seed):
+    if args.bins < 2:  # one bin admits only the zero rotation, which tests nothing
+        raise ValueError(f"--bins must be at least 2, got {args.bins}")
     orders_in = _parse_orders(args.orders)
     orders_out = _parse_orders(args.orders_out) if args.orders_out else orders_in
     mesh = _mesh_from_spec(args.mesh)
@@ -307,8 +309,6 @@ def _cmd_gauge_equivariance(args, seed):
     conn = geo.transport_angles(mesh, frames, geo.one_ring_log_map(mesh, frames))
     rng = substream(seed, "gauge-equivariance")
     basis = geo.kernel_constraint_basis(orders_in, orders_out, args.bins)
-    if not basis:
-        raise ValueError("empty constraint basis for the requested types")
     kernel = geo.kernel_from_coefficients(basis, rng.standard_normal(len(basis)))
     x = rng.standard_normal((mesh.n_vertices, geo.rep_dimension(orders_in)))
     base = geo.gauge_conv(mesh, conn, kernel, x)
@@ -320,7 +320,8 @@ def _cmd_gauge_equivariance(args, seed):
     worst = float(np.max(np.abs(transformed - expected)))
     params = {"mesh": args.mesh, "orders": args.orders,
               "orders_out": args.orders_out or args.orders, "bins": args.bins}
-    metrics = {"max_deviation": worst, "basis_dimension": float(len(basis))}
+    metrics = {"max_deviation": worst, "basis_dimension": float(len(basis)),
+               "kernel_residual": geo.kernel_constraint_residual(kernel)}
     verdicts = {"gauge_equivariant": worst <= 1e-8}
     return params, metrics, verdicts, {}
 

@@ -11,7 +11,9 @@ Two constructions live here:
   expressed in geodesic polar coordinates from a one-ring log map,
   features are moved between frames by parallel transport, and the filter
   matrices are constrained to a linear subspace so the output transforms
-  predictably under any per-vertex frame rotation.  One-rings and corner
+  predictably under any per-vertex frame rotation.  The subspace has a
+  closed form: neighbour kernels ``rho_out(a) E rho_in(a)^T`` for any ``E``,
+  and self kernels that commute with the grid rotations.  One-rings and corner
   angles are read from the half-edge index of
   :func:`gdlkit.mesh_core.half_edge_index`, which the log map builds and
   which checks that the mesh is manifold; reference neighbours are read
@@ -364,59 +366,37 @@ class GaugeKernel:
         return self.theta_neigh.shape[0]
 
 
-def _constraint_matrix(orders_in, orders_out, n_bins):
-    """Stacked linear constraints on (theta_self, theta_neigh bins).
-
-    For every grid angle ``a`` the kernel must satisfy
-    ``Theta_self rho_in(a) = rho_out(a) Theta_self`` and
-    ``Theta_neigh(b + a) rho_in(a) = rho_out(a) Theta_neigh(b)`` for every
-    bin ``b`` -- precisely the conditions that make the convolution output
-    transform by ``rho_out`` of the (inverse) gauge rotation.
-    """
-    d_in = rep_dimension(orders_in)
-    d_out = rep_dimension(orders_out)
-    block = d_out * d_in
-    n_unknowns = block * (1 + n_bins)
-    rows = []
-    eye_in = np.eye(d_in)
-    eye_out = np.eye(d_out)
-    for step in range(n_bins):
-        alpha = TWO_PI * step / n_bins
-        rin = rep_matrix(orders_in, alpha)
-        rout = rep_matrix(orders_out, alpha)
-        # row-major vec: vec(X A) = (I kron A^T) vec(X); vec(B X) = (B kron I) vec(X)
-        right = np.kron(eye_out, rin.T)
-        left = np.kron(rout, eye_in)
-        block_rows = np.zeros((block, n_unknowns))
-        block_rows[:, :block] = right - left
-        rows.append(block_rows)
-        for b in range(n_bins):
-            shifted = (b + step) % n_bins
-            block_rows = np.zeros((block, n_unknowns))
-            block_rows[:, block * (1 + shifted):block * (2 + shifted)] += right
-            block_rows[:, block * (1 + b):block * (2 + b)] -= left
-            rows.append(block_rows)
-    return np.concatenate(rows, axis=0)
-
-
 def kernel_constraint_basis(orders_in, orders_out, n_bins):
-    """Orthonormal basis of kernels satisfying the gauge constraints."""
+    """Orthonormal basis of the kernels with, for every grid angle ``a`` and
+    bin ``b``, ``Theta_self rho_in(a) = rho_out(a) Theta_self`` and
+    ``Theta_neigh(b + a) rho_in(a) = rho_out(a) Theta_neigh(b)``: the conditions
+    that make the output transform by ``rho_out`` of the (inverse) gauge rotation.
+
+    Solved in closed form (de Haan et al. 2021; Weiler & Cesa 2019).  Bin 0
+    fixes ``Theta_neigh(a) = rho_out(a) E rho_in(a)^T``, valid for any ``E``;
+    the unit matrices ``E``, scaled by ``1 / sqrt(n_bins)``, give ``d_out d_in``
+    orthonormal neighbour kernels.  The self kernels are the fixed points of
+    ``X -> rho_out(a)^T X rho_in(a)``: the nullspace of ``P - I``, with ``P``
+    those maps averaged over the grid.  Self kernels (zero neighbour part)
+    come first, then neighbour kernels (zero self part).
+    """
     if n_bins < 1:
         raise ValueError("at least one angle bin required")
-    orders_in = tuple(orders_in)
-    orders_out = tuple(orders_out)
-    d_in = rep_dimension(orders_in)
-    d_out = rep_dimension(orders_out)
+    orders_in, orders_out = tuple(orders_in), tuple(orders_out)
+    alphas = TWO_PI * np.arange(n_bins) / n_bins
+    rin, rout = rep_matrix(orders_in, alphas), rep_matrix(orders_out, alphas)
+    d_out, d_in = rout.shape[1], rin.shape[1]
     block = d_out * d_in
-    constraints = _constraint_matrix(orders_in, orders_out, n_bins)
-    basis = nullspace_basis(constraints)
-    kernels = []
-    for col in basis.T:
-        theta_self = col[:block].reshape(d_out, d_in)
-        theta_neigh = col[block:].reshape(n_bins, d_out, d_in)
-        kernels.append(GaugeKernel(orders_in=orders_in, orders_out=orders_out,
-                                   theta_self=theta_self, theta_neigh=theta_neigh))
-    return kernels
+    # row-major vec: vec(B^T X A) = (B^T kron A^T) vec(X)
+    average = np.einsum("aji,akl->iljk", rout, rin).reshape(block, block) / n_bins
+    fixed = nullspace_basis(average - np.eye(block))
+    selfs = fixed.T.reshape(fixed.shape[1], d_out, d_in)
+    # kernel (i, j) at bin a: rho_out(a) E_ij rho_in(a)^T = rho_out(a)[:, i] rho_in(a)[:, j]^T
+    neighs = np.einsum("api,aqj->ijapq", rout, rin).reshape(block, n_bins, d_out, d_in)
+    neighs /= np.sqrt(n_bins)
+    zero_self, zero_neigh = np.zeros((d_out, d_in)), np.zeros((n_bins, d_out, d_in))
+    return ([GaugeKernel(orders_in, orders_out, s, zero_neigh.copy()) for s in selfs]
+            + [GaugeKernel(orders_in, orders_out, zero_self.copy(), t) for t in neighs])
 
 
 def kernel_from_coefficients(basis_kernels, coefficients):

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_nn import check_permutation
+from .graph_nn import check_indices, check_permutation
 from .grid_signals import cross_correlate
 
 CLOSURE_CAP = 1024
@@ -46,9 +46,12 @@ class GroupAction:
         return self.perms.shape[1]
 
     def __post_init__(self):
-        g, p = self.group, self.perms
+        g, p = self.group, np.asarray(self.perms)
         if p.ndim != 2 or p.shape[0] != g.order:
             raise ValueError(f"perms of shape {p.shape}, expected (order={g.order}, n)")
+        n = p.shape[1]
+        p = check_indices(p, n, f"perms entries must be integers in range({n})")
+        object.__setattr__(self, "perms", p)
         if not np.array_equal(p[g.identity], np.arange(self.domain_size)):
             raise ValueError("identity must act as the identity permutation")
         # row i: g_i . (g_j . u) against (g_i g_j) . u

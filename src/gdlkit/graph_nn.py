@@ -125,14 +125,24 @@ def graph_from_edges(n, edges, features):
                  features=np.asarray(features, dtype=float))
 
 
-def check_permutation(p, n):
-    """``p`` as ints if it permutes ``range(n)``; float entries must be integral."""
+def check_indices(p, n, reason):
+    """``p`` as ints if every entry is an integer in ``range(n)``, else
+    ``ValueError(reason)``; float entries must be integral."""
     p = np.asarray(p)
     if p.dtype.kind == "f" and not np.all(np.isfinite(p) & (p == np.round(p))):
-        raise ValueError(f"not a permutation of range({n})")
+        raise ValueError(reason)
     p = p.astype(int)
+    if p.size and (p.min() < 0 or p.max() >= n):
+        raise ValueError(reason)
+    return p
+
+
+def check_permutation(p, n):
+    """``p`` as ints if it permutes ``range(n)``; float entries must be integral."""
+    reason = f"not a permutation of range({n})"
+    p = check_indices(p, n, reason)
     if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
-        raise ValueError(f"not a permutation of range({n})")
+        raise ValueError(reason)
     return p
 
 

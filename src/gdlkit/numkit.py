@@ -28,8 +28,9 @@ DEFAULT_TOL = 1e-12
 """Default relative tolerance for symmetry checks and rank decisions."""
 
 NULLSPACE_TOL = 1e-7
-"""Relative singular-value cutoff of :func:`nullspace_basis`.  The basis is
-read from ``a^T a``, which squares the spectrum, so the cutoff must stay
+"""Singular-value cutoff of :func:`nullspace_basis`, relative to ``|a|`` or
+to 1 if that is larger (the unit floor of the symmetry checks).  The basis
+is read from ``a^T a``, which squares the spectrum, so the cutoff must stay
 above sqrt(machine epsilon) ~ 1.5e-8; this leaves a comfortable margin."""
 
 
@@ -177,8 +178,10 @@ def nullspace_basis(a):
     """Orthonormal basis of the (numerical) nullspace of ``a``.
 
     The dimension is the number of eigenvalues of ``a^T a`` below
-    ``NULLSPACE_TOL^2 * |a|^2`` (spectral norm).  The zero matrix maps
-    everything to zero, so its nullspace is the whole domain.
+    ``NULLSPACE_TOL^2 * max(|a|^2, 1)`` (spectral norm).  The unit floor makes
+    a matrix at round-off scale, such as ``P - I`` for an averaging projector
+    ``P`` that is the identity up to rounding, the zero map, whose nullspace
+    is the whole domain; a purely relative cutoff would rank its noise.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -188,9 +191,7 @@ def nullspace_basis(a):
     n = a.shape[1]
     gram = a.T @ a
     system = sym_eig(gram, tol=1e-10)
-    top = system.eigenvalues[-1] if n else 0.0
-    if top <= 0:
-        return np.eye(n)
-    cutoff = NULLSPACE_TOL * NULLSPACE_TOL * top  # top eigenvalue of a^T a equals |a|^2
+    top = system.eigenvalues[-1] if n else 0.0  # top eigenvalue of a^T a equals |a|^2
+    cutoff = NULLSPACE_TOL * NULLSPACE_TOL * max(top, 1.0)
     dim = int(np.searchsorted(system.eigenvalues, cutoff))
     return system.eigenvectors[:, :dim]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh_core
+from .graph_nn import check_permutation
 from .numkit import EigenSystem, complex_linear_solve, generalized_sym_eig
 from .rng import substream
 
@@ -218,13 +219,11 @@ def _relative_change(y, y_j):
 def fmap_from_pointmap(basis_a, basis_b, pointmap):
     """Spectral functional map ``C = Phi_B^T M_B Pi Phi_A`` of a vertex
     correspondence ``pointmap[u] = matching vertex of B``."""
-    pointmap = np.asarray(pointmap, dtype=int)
     n_a = basis_a.mass.shape[0]
     n_b = basis_b.mass.shape[0]
-    if pointmap.shape != (n_a,) or n_a != n_b:
+    if n_a != n_b:
         raise ValueError("pointmap must pair equal-sized vertex sets")
-    if not np.array_equal(np.sort(pointmap), np.arange(n_b)):
-        raise ValueError("pointmap must be a bijection")
+    pointmap = check_permutation(pointmap, n_b)
     permuted = np.zeros((n_b, basis_a.k))
     permuted[pointmap] = basis_a.vectors  # Pi Phi_A
     return basis_b.vectors.T @ (basis_b.mass @ permuted)

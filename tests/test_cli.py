@@ -96,6 +96,9 @@ def test_usage_error_exits_2(capsys):
     # 2**48 bytes and more: numpy refuses these before allocating anything
     (["rnn", "shift-equivariance", "--m", "10000000"], "Unable to allocate 728. TiB"),
     (["lstm", "chrono", "--m", str(2 ** 45)], "Unable to allocate 256. TiB"),
+    # one bin draws only the zero rotation, so the probe would test nothing
+    (["gauge", "equivariance", "--bins", "1"], "--bins must be at least 2, got 1"),
+    (["gauge", "equivariance", "--bins", "0"], "--bins must be at least 2, got 0"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:

@@ -432,6 +432,52 @@ class TestTransport:
         assert abs(np.sum(geo.angle_defect(mesh_core.icosphere(k))) - 2 * TWO_PI) <= 1e-10
 
 
+def constraint_matrix(orders_in, orders_out, n_bins):
+    """Brute-force oracle: the gauge constraints on the unknowns
+    (theta_self, theta_neigh bins), stacked densely.
+
+    For every grid angle ``a`` the kernel must satisfy
+    ``Theta_self rho_in(a) = rho_out(a) Theta_self`` and
+    ``Theta_neigh(b + a) rho_in(a) = rho_out(a) Theta_neigh(b)`` for every
+    bin ``b``.
+    """
+    d_in = geo.rep_dimension(orders_in)
+    d_out = geo.rep_dimension(orders_out)
+    block = d_out * d_in
+    n_unknowns = block * (1 + n_bins)
+    rows = []
+    for step in range(n_bins):
+        alpha = TWO_PI * step / n_bins
+        # row-major vec: vec(X A) = (I kron A^T) vec(X); vec(B X) = (B kron I) vec(X)
+        right = np.kron(np.eye(d_out), geo.rep_matrix(orders_in, alpha).T)
+        left = np.kron(geo.rep_matrix(orders_out, alpha), np.eye(d_in))
+        block_rows = np.zeros((block, n_unknowns))
+        block_rows[:, :block] = right - left
+        rows.append(block_rows)
+        for b in range(n_bins):
+            shifted = (b + step) % n_bins
+            block_rows = np.zeros((block, n_unknowns))
+            block_rows[:, block * (1 + shifted):block * (2 + shifted)] += right
+            block_rows[:, block * (1 + b):block * (2 + b)] -= left
+            rows.append(block_rows)
+    return np.concatenate(rows, axis=0)
+
+
+def oracle_nullspace(orders_in, orders_out, n_bins):
+    """Orthonormal columns spanning the nullspace of :func:`constraint_matrix`,
+    with the rank counted by SVD at an absolute cutoff."""
+    constraints = constraint_matrix(orders_in, orders_out, n_bins)
+    _, sing, vt = np.linalg.svd(constraints, full_matrices=False)
+    rank = int(np.sum(sing > 1e-10 * max(constraints.shape)))
+    return vt[rank:].T
+
+
+def stacked(basis):
+    """Basis kernels as columns (theta_self, then theta_neigh), row-major."""
+    return np.stack([np.concatenate([k.theta_self.reshape(-1), k.theta_neigh.reshape(-1)])
+                     for k in basis], axis=1)
+
+
 class TestKernelConstraints:
     def test_trivial_type_forces_constant_kernel(self):
         basis = geo.kernel_constraint_basis((0,), (0,), 6)
@@ -466,22 +512,22 @@ class TestKernelConstraints:
         ((0,), (0,), 4), ((1,), (1,), 4), ((1,), (1,), 8),
         ((0, 1), (0, 1), 8), ((0, 1), (1,), 6), ((0, 0), (0, 2), 8),
         ((2,), (1,), 8), ((0, 1), (0, 1), 16),
+        # aliased: order m at N bins rotates by m * 2 pi / N, so order 2 at
+        # 2 bins (and order 3 at 3) sees only the identity, and order 2 at 4
+        # bins only its sign
+        ((0,), (2,), 2), ((1,), (1,), 2), ((0,), (3,), 3), ((2,), (2,), 4),
     ])
     def test_soundness_and_completeness(self, orders_in, orders_out, bins):
         basis = geo.kernel_constraint_basis(orders_in, orders_out, bins)
         for kernel in basis:
-            assert geo.kernel_constraint_residual(kernel) <= 1e-8
-        # completeness: dimension matches a brute-force rank count of the
-        # stacked constraint matrix
-        constraints = geo._constraint_matrix(orders_in, orders_out, bins)
-        rank = np.linalg.matrix_rank(constraints, tol=1e-10 * max(constraints.shape))
-        assert len(basis) == constraints.shape[1] - rank
-        # and the returned kernels are orthonormal as stacked vectors
-        if basis:
-            flat = np.stack([np.concatenate([k.theta_self.reshape(-1),
-                                             k.theta_neigh.reshape(-1)]) for k in basis])
-            gram = flat @ flat.T
-            assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-10
+            assert geo.kernel_constraint_residual(kernel) <= 1e-12
+        # completeness: the basis has the brute-force nullspace's dimension
+        # and spans it; the kernels are orthonormal as stacked vectors
+        oracle = oracle_nullspace(orders_in, orders_out, bins)
+        flat = stacked(basis)
+        assert flat.shape == oracle.shape
+        assert np.max(np.abs(oracle @ (oracle.T @ flat) - flat)) <= 1e-10
+        assert np.max(np.abs(flat.T @ flat - np.eye(len(basis)))) <= 1e-10
 
 
 @pytest.fixture(scope="module")

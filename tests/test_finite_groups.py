@@ -220,6 +220,28 @@ def test_caller_input_checks_name_the_first_failure(make, row, source, reason):
         make(group, data)
 
 
+# Z4 again; element 1 is its generator, element 3 is not
+@pytest.mark.parametrize("dtype, row, value", [
+    (int, 1, 4),
+    (int, 3, -1),
+    (float, 1, 2.5),
+    (float, 3, np.nan),
+])
+def test_action_entries_outside_the_domain_are_refused(dtype, row, value):
+    group, action = group_from_generators(4, [(np.arange(4) + 1) % 4])
+    perms = action.perms.astype(dtype)
+    perms[row, 0] = value
+    with pytest.raises(ValueError, match=r"^perms entries must be integers in range\(4\)$"):
+        GroupAction(group, perms)
+
+
+def test_action_accepts_integral_floats():
+    group, action = group_from_generators(4, [(np.arange(4) + 1) % 4])
+    accepted = GroupAction(group, action.perms.astype(float))
+    assert accepted.perms.dtype.kind == "i"
+    assert np.array_equal(accepted.perms, action.perms)
+
+
 @pytest.mark.parametrize("make, data, shape", [
     (GroupAction, np.arange(4), r"\(order=4, n\)"),
     (Representation, np.zeros(4), r"\(order=4, d, d\)"),

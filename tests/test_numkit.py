@@ -213,6 +213,23 @@ def test_nullspace_rank_one_2x2():
     assert np.allclose(basis[:, 0], expected)
 
 
+def test_nullspace_of_a_round_off_matrix_is_the_whole_domain():
+    # P - I for an averaging projector P that is the identity up to rounding
+    a = 1e-17 * np.random.default_rng(5).standard_normal((6, 6))
+    basis = nullspace_basis(a)
+    assert basis.shape == (6, 6)
+    assert np.allclose(basis.T @ basis, np.eye(6), atol=1e-12)
+
+
+def test_nullspace_rank_count_is_scale_invariant_above_the_unit_floor():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 8))
+    for scale in (1.0, 1e3):
+        basis = nullspace_basis(scale * a)
+        assert basis.shape == (8, 5)
+        assert np.max(np.abs(a @ basis)) <= 1e-10 * np.linalg.norm(a, 2)
+
+
 def test_nullspace_matches_constructed_rank():
     # soundness and completeness against matrices of known rank
     rng = np.random.default_rng(31)

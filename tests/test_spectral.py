@@ -236,8 +236,17 @@ class TestFunctionalMaps:
     def test_non_bijective_pointmap_rejected(self, sphere2):
         _, pair = sphere2
         basis = spectral_basis(pair, k=8)
-        with pytest.raises(ValueError, match="bijection"):
+        with pytest.raises(ValueError, match=r"not a permutation of range\(162\)"):
             fmap_from_pointmap(basis, basis, np.zeros(pair.n, dtype=int))
+
+    def test_non_integral_pointmap_rejected(self, sphere2):
+        # truncation would read arange(n) + 0.5 as the identity map
+        _, pair = sphere2
+        basis = spectral_basis(pair, k=8)
+        with pytest.raises(ValueError, match="not a permutation"):
+            fmap_from_pointmap(basis, basis, np.arange(pair.n) + 0.5)
+        c = fmap_from_pointmap(basis, basis, np.arange(pair.n, dtype=float))
+        assert np.max(np.abs(c - np.eye(8))) <= 1e-8
 
     def test_conjugation_identity(self):
         q = np.diag([1.0, 2.0, 3.0])
