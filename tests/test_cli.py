@@ -2,18 +2,22 @@
 fails, 2 with a one-line reason on bad input, and report bytes that are a
 pure function of (argv, seed, inputs)."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gdlkit
 from gdlkit import mesh_core, seq_models
-from gdlkit.cli import _random_geometric_graph, _random_graph, dispatch
+from gdlkit.cli import _dumps, _random_geometric_graph, _random_graph, build_parser, dispatch
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdlkit.__file__)))
 FLIPPED = "<icosphere 2 with face 0 reversed, as OFF>"
@@ -137,6 +141,7 @@ GROUP_TABLE_DIGESTS = {
     "Oh": "b49b35ecfa3a38e0e98d03331162b1074e664718410d243aa0e0f17afb167eb6",
     "revcomp": "aa9097e8734e7007272edb276d6ed7995d5afc9f0f871445e8a3f2b5cf607ab4",
     "Z12": "efed46062cd494acf04aaec0e69bda8c083e920a220c41e11ba898b29837f871",
+    "Z240": "19661cfa4d48f2846cc0c4a3dc1441ee054a0e0517a423024798f5c95bbed7dc",
 }
 
 
@@ -147,7 +152,7 @@ def test_group_table_reports_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == GROUP_TABLE_DIGESTS[name]
 
 
-@pytest.mark.parametrize("argv", [
+RERUN_ARGV = [
     ["gnn", "equivariance", "--flavour", "attn", "--n", "8", "--trials", "3"],
     ["egnn", "equivariance", "--n", "7", "--trials", "3"],
     ["gauge", "equivariance", "--mesh", "icosphere:2", "--bins", "4"],
@@ -157,9 +162,83 @@ def test_group_table_reports_are_pinned(capsys, name):
     ["mesh", "spectrum"],
     ["rnn", "shift-equivariance", "--T", "200", "--m", "8"],
     ["lstm", "chrono"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", RERUN_ARGV)
 def test_reports_byte_identical_across_hash_seeds(argv):
     assert_reruns_identical(argv, {})
+
+
+@pytest.mark.parametrize("argv", RERUN_ARGV + [
+    ["mesh", "spectrum", "--mesh", "icosphere:3", "--k", "32"],
+])
+def test_reports_laid_out_as_indented_json(capsys, argv):
+    code, out, _ = run(capsys, ["--seed", "7", *argv])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+# report keys: non-ASCII, quotes, backslashes and control characters included
+KEYS = st.text() | st.sampled_from(["", "\"", "\\", "\x00", "\n\t", "\u00e9", "\u2028", "\U0001f600"])
+SCALARS = (st.none() | st.booleans() | st.text()
+           | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+           | st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308, float("inf"), -float("inf")])
+           | st.floats().map(np.float64) | st.just([]) | st.just({}))
+REPORT_VALUES = st.recursive(
+    SCALARS,
+    lambda children: (st.lists(children, max_size=6) | st.lists(children, max_size=6).map(tuple)
+                      | st.dictionaries(KEYS, children, max_size=5)),
+    max_leaves=40)
+
+
+@given(REPORT_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_dumps_writes_the_bytes_of_indented_json(obj):
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "x"}, {None: 1}, {1.5: 2.0}, {True: 0},
+    {"rows": [[1, 2], {"inner": {3: 4}}]},
+])
+def test_dumps_refuses_keys_json_would_convert(obj):
+    json.dumps(obj, sort_keys=True, indent=2)  # json writes these keys as strings
+    with pytest.raises(TypeError):
+        _dumps(obj)
+
+
+def test_parser_defaults_are_immutable():
+    # every dispatch of a process shares one parser
+    parsers = [build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            else:
+                assert action.default is None or type(action.default) in (str, int, float)
+    assert "gdlkit group table" in {parser.prog for parser in parsers}
+
+
+def test_dispatches_share_one_parser_and_no_state(capsys, monkeypatch):
+    build_parser.cache_clear()
+    gnn = ["gnn", "equivariance", "--n", "6", "--trials", "2"]
+    code, out, err = run(capsys, [*gnn[:2], "--flavour", "attn", *gnn[2:]])
+    assert code == 0 and json.loads(out)["parameters"]["flavour"] == "attn"
+    assert re.fullmatch(r"gdlkit: gnn equivariance: \d+\.\d ms, report \d+\.\d ms\n", err)
+    code, out, _ = run(capsys, gnn)
+    assert code == 0 and json.loads(out)["parameters"]["flavour"] == "conv"
+
+    assert run(capsys, ["mesh", "stability", "--k", "3"])[0] == 2
+    assert run(capsys, gnn)[0] == 0
+
+    code, out, _ = run(capsys, ["--seed", "9", *gnn])
+    assert code == 0 and json.loads(out)["seed"] == 9
+    monkeypatch.setenv("GDLKIT_SEED", "5")
+    assert json.loads(run(capsys, gnn)[1])["seed"] == 5
+    monkeypatch.delenv("GDLKIT_SEED")
+    assert json.loads(run(capsys, gnn)[1])["seed"] == 42
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [
