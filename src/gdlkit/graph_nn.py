@@ -5,9 +5,13 @@ optional positional encodings, and Weisfeiler-Lehman colour refinement.
 
 This module owns the adjacency format: the canonical CSR index
 ``(receivers, senders, indptr)``, edges sorted by receiver then sender, the
-edges into ``u`` at ``indptr[u]:indptr[u + 1]``.  Layers gather per edge,
-compute messages, and sum them with :func:`tree_sum` in that fixed order,
-so permuted inputs agree to near machine precision.
+edges into ``u`` at ``indptr[u]:indptr[u + 1]``.  A transform that reads one
+endpoint only (the convolutional and attentional sender transform ``psi``,
+the two attention projections) runs once per node and is gathered per edge;
+one that reads both endpoints (the message-passing ``psi`` on ``x_u || x_v``,
+the attention score) runs per edge.  Messages are summed with
+:func:`tree_sum` in that fixed order, so permuted inputs agree to near
+machine precision.
 """
 
 from dataclasses import dataclass
@@ -244,21 +248,23 @@ def gnn_forward(g, flavour, params, attention_fn=None, message_fn=None):
     scores; 'mpnn': ``psi(x_u || x_v)``.  ``attention_fn(g, receivers,
     senders)`` and ``message_fn(x_receivers, x_senders)`` override the
     respective mechanisms on the whole edge index at once (used by the
-    flavour-containment checks).  Empty neighbourhoods aggregate to the
-    zero vector.
+    flavour-containment checks).  ``psi`` of 'conv' and 'attn' and the
+    projections ``W x``, ``U x`` are computed once per node and gathered per
+    edge, as GCN forms ``X W`` before it aggregates.  Empty neighbourhoods
+    aggregate to the zero vector.
     """
     if flavour not in ("conv", "attn", "mpnn"):
         raise ValueError(f"unknown flavour {flavour!r}")
     receivers, senders, indptr = g.edge_index
     x = g.features
     if flavour == "conv":
-        msgs = conv_coefficient(g, receivers, senders)[:, None] * params.psi.apply(x[senders])
+        msgs = conv_coefficient(g, receivers, senders)[:, None] * params.psi.apply(x)[senders]
     elif flavour == "attn":
         if attention_fn is not None:
             scores = np.asarray(attention_fn(g, receivers, senders), dtype=float)
         else:
-            logits = np.tanh(x[receivers] @ params.att_w.T
-                             + x[senders] @ params.att_u.T) @ params.att_q
+            logits = np.tanh((x @ params.att_w.T)[receivers]
+                             + (x @ params.att_u.T)[senders]) @ params.att_q
             counts = np.diff(indptr)
             filled = counts > 0
             top = np.maximum.reduceat(logits, indptr[:-1][filled])
@@ -267,7 +273,7 @@ def gnn_forward(g, flavour, params, attention_fn=None, message_fn=None):
         degenerate = ~np.isfinite(scores)
         if degenerate.any():
             raise ValueError(f"degenerate attention at node {receivers[np.argmax(degenerate)]}")
-        msgs = scores[:, None] * params.psi.apply(x[senders])
+        msgs = scores[:, None] * params.psi.apply(x)[senders]
     elif message_fn is not None:
         msgs = message_fn(x[receivers], x[senders])
     else:
@@ -310,18 +316,35 @@ def transformer_forward(x, params, use_positional=False):
 # Weisfeiler-Lehman colour refinement
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
 def _refine_once(graphs_colours, graphs, table):
-    """One shared-interning refinement round across a list of graphs: gather
-    the sender colours per edge and sort them within each receiver's segment."""
+    """One shared-interning refinement round across a list of graphs.
+
+    A node's signature is its colour followed by its neighbours' colours in
+    ascending order, written as one big-endian 8-byte word per colour with
+    the sign bit flipped, so comparing signature bytes compares the colour
+    sequences as signed integers, a shorter prefix first: the same order as
+    the tuples ``(c, (n_1, ..., n_k))``.  New signatures get ids in that
+    order, so ids are canonical, never hash-based.
+    """
     signatures = []
     for colours, g in zip(graphs_colours, graphs):
         receivers, senders, indptr = g.edge_index
-        nbrs = colours[senders[np.lexsort((colours[senders], receivers))]]
-        signatures.append([(c, tuple(seg.tolist())) for c, seg in
-                           zip(colours.tolist(), np.split(nbrs, indptr[1:-1]))])
-    # lexicographic interning keeps colour ids canonical, never hash-based
-    fresh = sorted({s for sigs in signatures for s in sigs if s not in table})
-    for s in fresh:
+        # one sort orders the sender colours within each receiver's segment;
+        # sorting colour ranks, not colours, keeps the key inside int64
+        palette, rank = np.unique(colours, return_inverse=True)
+        key = np.sort(receivers * palette.shape[0] + rank[senders])
+        starts = indptr + np.arange(indptr.shape[0])
+        words = np.empty(starts[-1], dtype=">u8")
+        words[starts[:-1]] = colours.view(np.uint64) ^ _SIGN_BIT
+        words[np.arange(key.shape[0]) + receivers + 1] = (
+            palette[key % palette.shape[0]].view(np.uint64) ^ _SIGN_BIT)
+        buf = words.tobytes()
+        bounds = (8 * starts).tolist()
+        signatures.append([buf[a:b] for a, b in zip(bounds, bounds[1:])])
+    for s in sorted(set().union(*signatures).difference(table)):
         table[s] = len(table)
     return [np.array([table[s] for s in sigs], dtype=int) for sigs in signatures]
 
@@ -329,10 +352,19 @@ def _refine_once(graphs_colours, graphs, table):
 def _initial_colours(g, colours):
     if colours is None:
         return np.zeros(g.n, dtype=int)
-    colours = np.asarray(colours, dtype=int)
+    colours = np.asarray(colours)
     if colours.shape != (g.n,):
         raise ValueError("one initial colour per node required")
-    return colours
+    with np.errstate(invalid="ignore"):  # nan and inf fail the round trip below
+        ints = colours.astype(int) if colours.dtype.kind in "biuf" else None
+    if ints is None or not np.array_equal(ints, colours):
+        raise ValueError("initial colours must be integers within int64")
+    return ints
+
+
+def _check_rounds(rounds):
+    if not isinstance(rounds, (int, np.integer)) or rounds < 0:
+        raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
 
 
 def _histogram(colours):
@@ -344,9 +376,15 @@ def wl_refine(g, rounds, colours=None):
     """Colour histograms (sorted counts) for rounds ``0..rounds``.
 
     Round t+1 colours encode (own colour, sorted multiset of neighbour
-    colours) via lexicographic string interning; refinement is monotone and
-    stabilises after at most ``n`` rounds.
+    colours).  Each signature is interned as one ``bytes`` key whose byte
+    order equals the order of the signature tuples (see
+    :func:`_refine_once`), so colour ids do not depend on hashing.
+    Refinement is monotone and stabilises after at most ``n`` rounds.
+    ``colours`` must be integers within int64 (integral floats are
+    accepted); anything else, like a negative ``rounds``, raises
+    ``ValueError``.
     """
+    _check_rounds(rounds)
     colours = _initial_colours(g, colours)
     table = {}
     histograms = [_histogram(colours)]
@@ -362,8 +400,10 @@ def wl_distinguish(g1, g2, rounds):
 
     Colours are interned jointly so histograms are comparable across the
     graphs; a False answer means WL-indistinguishable (necessary but not
-    sufficient for isomorphism).
+    sufficient for isomorphism).  A negative or non-integer ``rounds``
+    raises ``ValueError``.
     """
+    _check_rounds(rounds)
     c1, c2 = _initial_colours(g1, None), _initial_colours(g2, None)
     if g1.n != g2.n:
         return True

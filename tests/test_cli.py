@@ -152,6 +152,34 @@ def test_group_table_reports_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == GROUP_TABLE_DIGESTS[name]
 
 
+# sha256 of the reports at --seed 7: the equivariance errors are sums in a
+# fixed order, so a change to how a layer evaluates its transforms (per node
+# or per edge) that moves any bit of the output changes these bytes
+LAYER_REPORT_DIGESTS = {
+    "gnn equivariance --flavour conv":
+        "c8b6757fe4ba2a917c7df7e14f3329538dba6a9fd64adb6dbd61154ac76db989",
+    "gnn equivariance --flavour attn":
+        "de1b83453f9216297f2f1b90e7ce400336ab8079c94f4d5b3612c8269072bb9a",
+    "gnn equivariance --flavour mpnn":
+        "bd56652132b1bb3008addd726109752d89a3807dc056fff3348082d4e725db39",
+    "gnn equivariance --flavour conv --n 100 --trials 5":
+        "453ba71f4fbf28f98d8b1520969d0a3a946da6b85e13ea0e73197d042547027e",
+    "gnn equivariance --flavour attn --n 100 --trials 5":
+        "a58bb2c2d4ae72fdfbc867d9746c7402ba4c4d62120248a9500d4717339cb55b",
+    "egnn equivariance":
+        "9050402f68321a444534bb24f81f119e8f3efa8eaf4a58fc0ecbcf0d3206e3fc",
+    "egnn equivariance --n 150 --trials 4":
+        "82198efd5adb53c5b9f2d22665e282e2e5a14a63ea3b2e8e4404dedbab48c148",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LAYER_REPORT_DIGESTS))
+def test_layer_reports_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, ["--seed", "7", *argv.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LAYER_REPORT_DIGESTS[argv]
+
+
 RERUN_ARGV = [
     ["gnn", "equivariance", "--flavour", "attn", "--n", "8", "--trials", "3"],
     ["egnn", "equivariance", "--n", "7", "--trials", "3"],

@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdlkit.graph_nn import (
     Graph,
     MlpParams,
+    _refine_once,
     check_permutation,
     conv_coefficient,
     deepsets_forward,
@@ -232,6 +235,85 @@ class TestGnnForward:
         assert np.max(np.abs(mpnn - attn)) <= 1e-12
 
 
+@dataclasses.dataclass(frozen=True)
+class SpyMlp(MlpParams):
+    """An MLP that records the number of rows of every input it is applied to."""
+
+    rows: list = dataclasses.field(default_factory=list)
+
+    def apply(self, x):
+        self.rows.append(np.shape(x)[0])
+        return super().apply(x)
+
+
+def per_edge_forward(g, flavour, params, attention_fn=None, message_fn=None):
+    """The GNN layer with every transform evaluated on the edge rows and the
+    softmax taken node by node: the reference for the node-first layer."""
+    receivers, senders, indptr = g.edge_index
+    x = g.features
+    if flavour == "mpnn":
+        msgs = (message_fn(x[receivers], x[senders]) if message_fn is not None else
+                params.psi.apply(np.concatenate([x[receivers], x[senders]], axis=1)))
+    else:
+        if flavour == "conv":
+            scores = conv_coefficient(g, receivers, senders)
+        elif attention_fn is not None:
+            scores = attention_fn(g, receivers, senders)
+        else:
+            logits = np.tanh(x[receivers] @ params.att_w.T
+                             + x[senders] @ params.att_u.T) @ params.att_q
+            scores = np.empty_like(logits)
+            for a, b in zip(indptr[:-1], indptr[1:]):
+                weights = np.exp(logits[a:b] - np.max(logits[a:b], initial=0.0))
+                scores[a:b] = weights / np.sum(weights)
+        msgs = scores[:, None] * params.psi.apply(x[senders])
+    return params.phi.apply(np.concatenate([x, tree_sum(msgs, indptr)], axis=1))
+
+
+class TestNodeFirstTransforms:
+    @staticmethod
+    def spied(flavour, seed):
+        params = gnn_params(5, 7, 6, flavour, seed=seed)
+        psi = params.psi
+        return dataclasses.replace(params, psi=SpyMlp(psi.weights, psi.biases, psi.activation))
+
+    @pytest.mark.parametrize("flavour", ["conv", "attn", "mpnn"])
+    def test_psi_rows_and_per_edge_agreement(self, flavour):
+        rng = np.random.default_rng(18)
+        # node 11 is isolated: it still gets a psi row but no message
+        g = graph_from_edges(12, [(u, v) for u in range(11) for v in range(u + 1, 11)
+                                  if rng.uniform() < 0.5], rng.standard_normal((12, 5)))
+        n_edges = g.edge_index[0].shape[0]
+        params = self.spied(flavour, seed=18)
+        out = gnn_forward(g, flavour, params)
+        assert params.psi.rows == ([n_edges] if flavour == "mpnn" else [g.n])
+        assert n_edges > g.n
+        assert np.max(np.abs(out - per_edge_forward(g, flavour, params))) <= 1e-12
+
+    def test_overrides_unchanged(self):
+        rng = np.random.default_rng(19)
+        g = random_graph(10, 5, rng)
+        params = self.spied("attn", seed=19)
+        out = gnn_forward(g, "attn", params, attention_fn=conv_coefficient)
+        assert params.psi.rows == [g.n]
+        reference = per_edge_forward(g, "attn", params, attention_fn=conv_coefficient)
+        assert np.max(np.abs(out - reference)) <= 1e-12
+
+        params = self.spied("mpnn", seed=19)
+        seen = []
+
+        def message(xu, xv):
+            seen.append((xu.copy(), xv.copy()))
+            return np.tanh(np.concatenate([xu * xv, xu - xv], axis=1)[:, :7])
+
+        out = gnn_forward(g, "mpnn", params, message_fn=message)
+        assert params.psi.rows == []
+        receivers, senders, _ = g.edge_index
+        assert np.array_equal(seen[0][0], g.features[receivers])
+        assert np.array_equal(seen[0][1], g.features[senders])
+        assert np.array_equal(out, per_edge_forward(g, "mpnn", params, message_fn=message))
+
+
 class TestTransformer:
     def test_single_node_attends_to_itself(self):
         x = np.array([[0.4, -0.2]])
@@ -287,6 +369,58 @@ def path_graph(n):
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)], np.zeros((n, 1)))
 
 
+def star_graph(n):
+    return graph_from_edges(n, [(0, i) for i in range(1, n)], np.zeros((n, 1)))
+
+
+def refine_once_tuples(graphs_colours, graphs, table):
+    """Reference refinement round: each signature is the Python tuple
+    ``(c, (n_1, ..., n_k))`` of the node's colour and its sorted neighbour
+    colours, and new signatures are interned in sorted order."""
+    signatures = []
+    for colours, g in zip(graphs_colours, graphs):
+        receivers, senders, indptr = g.edge_index
+        nbrs = colours[senders[np.lexsort((colours[senders], receivers))]]
+        signatures.append([(c, tuple(seg.tolist())) for c, seg in
+                           zip(colours.tolist(), np.split(nbrs, indptr[1:-1]))])
+    fresh = sorted({s for sigs in signatures for s in sigs if s not in table})
+    for s in fresh:
+        table[s] = len(table)
+    return [np.array([table[s] for s in sigs], dtype=int) for sigs in signatures]
+
+
+# small colours, colours near +-2**62 (where receiver * span + colour leaves
+# int64) and the int64 extremes
+COLOUR_VALUES = (st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1)
+                 | st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, -2**62 - 1, -2**62, -2**62 + 1,
+                                    2**63 - 1, -2**63]))
+
+
+@st.composite
+def coloured_graphs(draw):
+    """A small graph, often with isolated nodes, and initial colours drawn
+    from a palette of one to three values so that signatures collide."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    palette = draw(st.lists(COLOUR_VALUES, min_size=1, max_size=3))
+    colours = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    g = graph_from_edges(n, [(a, b) for a, b in pairs if a != b], np.zeros((n, 1)))
+    return g, np.array(colours, dtype=np.int64)
+
+
+@given(st.lists(coloured_graphs(), min_size=1, max_size=2), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_byte_keys_assign_the_ids_of_tuple_interning(graphs, rounds):
+    gs = [g for g, _ in graphs]
+    state = expected = [c for _, c in graphs]
+    table, tuple_table = {}, {}
+    for _ in range(rounds):
+        state = _refine_once(state, gs, table)
+        expected = refine_once_tuples(expected, gs, tuple_table)
+        assert all(np.array_equal(a, b) for a, b in zip(state, expected))
+    assert len(table) == len(tuple_table)
+
+
 class TestWeisfeilerLehman:
     def test_edgeless_graph_one_colour_forever(self):
         g = graph_from_edges(5, [], np.zeros((5, 1)))
@@ -305,6 +439,34 @@ class TestWeisfeilerLehman:
         two_triangles = graph_from_edges(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], np.zeros((6, 1)))
         assert not wl_distinguish(cycle_graph(6), two_triangles, 10)
+
+    def test_path_vs_star_distinguished(self):
+        assert wl_distinguish(path_graph(4), star_graph(4), 1)
+        assert not wl_distinguish(path_graph(4), star_graph(4), 0)
+
+    def test_initial_colours_refine_from_round_zero(self):
+        hists = wl_refine(path_graph(4), 1, colours=[5, -3, -3, 5])
+        assert hists == [(2, 2), (2, 2)]
+        assert wl_refine(path_graph(4), 1, colours=[5.0, -3.0, -3.0, 5.0]) == hists
+
+    @pytest.mark.parametrize("colours", [
+        [0.2, 0.9, 0.4, 0.1],  # truncation would merge four colours into one
+        [0.0, float("inf"), 1.0, 2.0],
+        [0.0, float("nan"), 1.0, 2.0],
+        [0.0, 2.0**63, 1.0, 2.0],
+        [0, 2**64 - 1, 1, 2],
+        ["a", "b", "c", "d"],
+    ])
+    def test_non_integer_colours_rejected(self, colours):
+        with pytest.raises(ValueError, match="initial colours must be integers within int64"):
+            wl_refine(path_graph(4), 1, colours=colours)
+
+    @pytest.mark.parametrize("rounds", [-2, 1.5, "3", None])
+    def test_bad_rounds_rejected(self, rounds):
+        with pytest.raises(ValueError, match="rounds must be a non-negative integer"):
+            wl_refine(path_graph(4), rounds)
+        with pytest.raises(ValueError, match="rounds must be a non-negative integer"):
+            wl_distinguish(path_graph(4), path_graph(5), rounds)
 
     def test_isomorphic_relabellings_indistinguishable(self):
         rng = np.random.default_rng(14)
