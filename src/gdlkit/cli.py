@@ -2,6 +2,13 @@
 experiment, prints a JSON (or CSV) report, and exits 0 when every verdict
 passed, 1 when one failed, 2 on usage or IO errors.
 
+Runner contract: a command's runner takes the parsed options and the seed
+and returns ``(metrics, verdicts, payload)``.  ``dispatch`` builds the one
+report from them: ``command``, ``seed``, ``parameters``, ``metrics`` as
+floats, ``verdicts`` as bools, and the payload's entries at the top level.
+``parameters`` are the command's parsed options, read from the namespace
+after the run, so a runner never restates them.
+
 Determinism contract: a command's output bytes are a pure function of
 (argv, seed, input files).  The seed defaults from ``GDLKIT_SEED`` (else
 42) and feeds named substreams, one per module call, so adding a command
@@ -20,7 +27,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,31 +36,8 @@ from .rng import substream
 
 DEFAULT_SEED = 42
 
-
-@dataclass
-class Report:
-    command: str
-    parameters: dict
-    metrics: dict
-    verdicts: dict
-    seed: int
-    payload: dict = field(default_factory=dict)
-    runtime_ms: float = 0.0
-
-    def passed(self):
-        return all(self.verdicts.values())
-
-    def to_json_dict(self):
-        # runtime_ms deliberately excluded: reruns must be byte-identical
-        out = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "metrics": {k: float(v) for k, v in self.metrics.items()},
-            "verdicts": {k: bool(v) for k, v in self.verdicts.items()},
-            "seed": self.seed,
-        }
-        out.update(self.payload)
-        return out
+# namespace entries that are not a command's own options
+_GLOBAL_ENTRIES = frozenset({"seed", "output", "format", "command", "subcommand", "runner"})
 
 
 _PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -88,13 +71,13 @@ def _dumps(obj, indent=""):
 
 
 def emit(report, path, fmt="json"):
-    """Write the report; ``-`` writes to standard output.  JSON is laid out
-    as ``json.dumps(..., sort_keys=True, indent=2)`` would lay it out, with
-    each list of plain scalars encoded in C (see ``_dumps``)."""
+    """Write the report dict; ``-`` writes to standard output.  JSON is laid
+    out as ``json.dumps(..., sort_keys=True, indent=2)`` would lay it out,
+    with each list of plain scalars encoded in C (see ``_dumps``)."""
     if fmt == "json":
-        text = _dumps(report.to_json_dict()) + "\n"
+        text = _dumps(report) + "\n"
     elif fmt == "csv":
-        lines = [f"{name},{float(value)!r}" for name, value in sorted(report.metrics.items())]
+        lines = [f"{name},{value!r}" for name, value in sorted(report["metrics"].items())]
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -122,7 +105,7 @@ def _mesh_from_spec(spec):
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (parameters, metrics, verdicts, payload)
+# command implementations; each returns (metrics, verdicts, payload)
 
 
 def _cmd_fourier_instability(args, seed):
@@ -135,10 +118,9 @@ def _cmd_fourier_instability(args, seed):
     elif shift_bins <= 0.5 * spread_bins:
         verdicts["stable_at_low_frequency"] = ratio <= 0.3
     else:
-        verdicts["ratio_finite"] = bool(np.isfinite(ratio))
-    params = {"n": args.n, "k0": args.k0, "sigma": args.sigma, "s": args.s}
+        verdicts["ratio_finite"] = np.isfinite(ratio)
     metrics = {"ratio": ratio, "shift_bins": shift_bins, "spread_bins": spread_bins}
-    return params, metrics, verdicts, {}
+    return metrics, verdicts, {}
 
 
 def _named_group(name):
@@ -176,11 +158,8 @@ def _cube_rotation_generators():
 def _cmd_group_table(args, seed):
     group, _ = _named_group(args.name)
     report = finite_groups.verify_group_axioms(group)
-    params = {"name": args.name}
-    metrics = {"order": float(group.order)}
-    verdicts = {"axioms_pass": report.all_pass()}
     payload = {"order": group.order, "table": finite_groups.cayley_table_json(group)}
-    return params, metrics, verdicts, payload
+    return {"order": group.order}, {"axioms_pass": report.all_pass()}, payload
 
 
 def _random_edges(n, p, rng):
@@ -207,11 +186,14 @@ def _cmd_gnn_equivariance(args, seed):
         p = rng.permutation(args.n)
         base = graph_nn.gnn_forward(g, args.flavour, params)
         permuted = graph_nn.gnn_forward(graph_nn.permute_graph(g, p), args.flavour, params)
-        expected = np.empty_like(base)
-        expected[p] = base
-        worst = max(worst, float(np.max(np.abs(permuted - expected))))
-    params_out = {"flavour": args.flavour, "n": args.n, "trials": args.trials}
-    return params_out, {"max_deviation": worst}, {"equivariant": worst <= 1e-11}, {}
+        worst = max(worst, float(np.max(np.abs(permuted - _permute_rows(base, p)))))
+    return {"max_deviation": worst}, {"equivariant": worst <= 1e-11}, {}
+
+
+def _permute_rows(x, p):
+    out = np.empty_like(x)
+    out[p] = x
+    return out
 
 
 def _cmd_mesh_spectrum(args, seed):
@@ -223,10 +205,9 @@ def _cmd_mesh_spectrum(args, seed):
     ortho = float(np.max(np.abs(gram - np.eye(basis.k))))
     m_phi_lam = m_phi * basis.eigenvalues
     residual = float(np.max(np.abs(basis.stiffness @ basis.vectors - m_phi_lam)))
-    params = {"mesh": args.mesh, "k": args.k}
     metrics = {
-        "lambda_min": float(basis.eigenvalues[0]),
-        "lambda_max": float(basis.eigenvalues[-1]),
+        "lambda_min": basis.eigenvalues[0],
+        "lambda_max": basis.eigenvalues[-1],
         "orthonormality_error": ortho,
         "eigen_residual": residual,
     }
@@ -236,7 +217,7 @@ def _cmd_mesh_spectrum(args, seed):
         "eigen_residual_small": residual <= 1e-8 * max(1.0, float(np.max(np.abs(m_phi_lam)))),
     }
     payload = {"eigenvalues": [float(v) for v in basis.eigenvalues]}
-    return params, metrics, verdicts, payload
+    return metrics, verdicts, payload
 
 
 def _cmd_mesh_stability(args, seed):
@@ -257,11 +238,9 @@ def _cmd_mesh_stability(args, seed):
         metrics["direct_discrepancy"] = result["direct_discrepancy"]
         verdicts["filter_stable_vs_direct"] = (
             result["discrepancy"] <= 0.1 * result["direct_discrepancy"])
-    params = {"mesh": args.mesh, "epsilon": args.epsilon,
-              "kind": args.kind, "degree": args.degree}
     payload = {"mesh": args.mesh, "epsilon": args.epsilon,
                "kind": result["kind"], "discrepancy": result["discrepancy"]}
-    return params, metrics, verdicts, payload
+    return metrics, verdicts, payload
 
 
 def _random_geometric_graph(n, d, rng):
@@ -313,17 +292,10 @@ def _cmd_egnn_equivariance(args, seed):
         worst_perm = max(worst_perm,
                          float(np.max(np.abs(f2 - _permute_rows(f0, p)))),
                          float(np.max(np.abs(x2 - _permute_rows(x0, p)))))
-    params_out = {"n": args.n, "trials": args.trials}
     metrics = {"max_e3_deviation": worst_e3, "max_permutation_deviation": worst_perm}
     verdicts = {"e3_equivariant": worst_e3 <= 1e-10,
                 "permutation_equivariant": worst_perm <= 1e-11}
-    return params_out, metrics, verdicts, {}
-
-
-def _permute_rows(x, p):
-    out = np.empty_like(x)
-    out[p] = x
-    return out
+    return metrics, verdicts, {}
 
 
 def _parse_orders(text):
@@ -340,13 +312,14 @@ def _parse_orders(text):
 def _cmd_gauge_equivariance(args, seed):
     if args.bins < 2:  # one bin admits only the zero rotation, which tests nothing
         raise ValueError(f"--bins must be at least 2, got {args.bins}")
-    orders_in = _parse_orders(args.orders)
-    orders_out = _parse_orders(args.orders_out) if args.orders_out else orders_in
+    args.orders_out = args.orders_out or args.orders  # the resolved type is reported
+    orders_in, orders_out = _parse_orders(args.orders), _parse_orders(args.orders_out)
+    # first, so that bins above geo.BINS_CAP are refused before the mesh is built
+    basis = geo.kernel_constraint_basis(orders_in, orders_out, args.bins)
     mesh = _mesh_from_spec(args.mesh)
     frames = geo.tangent_frames(mesh)
     conn = geo.transport_angles(mesh, frames, geo.one_ring_log_map(mesh, frames))
     rng = substream(seed, "gauge-equivariance")
-    basis = geo.kernel_constraint_basis(orders_in, orders_out, args.bins)
     kernel = geo.kernel_from_coefficients(basis, rng.standard_normal(len(basis)))
     x = rng.standard_normal((mesh.n_vertices, geo.rep_dimension(orders_in)))
     base = geo.gauge_conv(mesh, conn, kernel, x)
@@ -356,12 +329,9 @@ def _cmd_gauge_equivariance(args, seed):
     transformed = geo.gauge_conv(mesh, conn2, kernel, x2)
     expected = np.einsum("nij,nj->ni", geo.rep_matrix(orders_out, -angles), base)
     worst = float(np.max(np.abs(transformed - expected)))
-    params = {"mesh": args.mesh, "orders": args.orders,
-              "orders_out": args.orders_out or args.orders, "bins": args.bins}
-    metrics = {"max_deviation": worst, "basis_dimension": float(len(basis)),
+    metrics = {"max_deviation": worst, "basis_dimension": len(basis),
                "kernel_residual": geo.kernel_constraint_residual(kernel)}
-    verdicts = {"gauge_equivariant": worst <= 1e-8}
-    return params, metrics, verdicts, {}
+    return metrics, {"gauge_equivariant": worst <= 1e-8}, {}
 
 
 def _cmd_rnn_shift_equivariance(args, seed):
@@ -380,11 +350,10 @@ def _cmd_rnn_shift_equivariance(args, seed):
     out = seq_models.simple_rnn_forward(batch, h0, params)
     worst = max(float(np.max(np.abs(out[:args.T + 3 - s, s] - out[s:, 0])))
                 for s in (1, 2, 3))
-    params_out = {"T": args.T, "m": args.m}
     metrics = {"max_deviation": worst, "fixed_point_residual": trace[-1]}
     verdicts = {"shift_equivariant": worst <= 1e-10,
                 "fixed_point_converged": trace[-1] <= 1e-12}
-    return params_out, metrics, verdicts, {}
+    return metrics, verdicts, {}
 
 
 def _cmd_lstm_chrono(args, seed):
@@ -393,15 +362,12 @@ def _cmd_lstm_chrono(args, seed):
     biases = seq_models.chrono_init(args.tlow, args.thigh, args.m, seed)
     gates = 1.0 / (1.0 + np.exp(-biases))
     lo, hi = 1.0 / args.thigh, 1.0 / args.tlow
-    within = bool(np.all(gates >= lo - 1e-12) and np.all(gates <= hi + 1e-12))
-    params = {"tlow": args.tlow, "thigh": args.thigh, "m": args.m}
-    metrics = {"gate_min": float(gates.min()), "gate_max": float(gates.max()),
-               "gate_mean": float(gates.mean())}
+    within = np.all(gates >= lo - 1e-12) and np.all(gates <= hi + 1e-12)
+    metrics = {"gate_min": gates.min(), "gate_max": gates.max(), "gate_mean": gates.mean()}
     verdicts = {"gates_in_horizon_range": within}
     if args.tlow == args.thigh:
-        verdicts["degenerate_case_exact"] = bool(
-            np.all(np.abs(gates - 1.0 / args.tlow) <= 1e-12))
-    return params, metrics, verdicts, {}
+        verdicts["degenerate_case_exact"] = np.all(np.abs(gates - 1.0 / args.tlow) <= 1e-12)
+    return metrics, verdicts, {}
 
 
 # ---------------------------------------------------------------------------
@@ -502,26 +468,45 @@ def build_parser():
     return parser
 
 
+def _env_seed():
+    """``GDLKIT_SEED`` if set, else ``DEFAULT_SEED``."""
+    text = os.environ.get("GDLKIT_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"GDLKIT_SEED must be an integer, got {text!r}") from None
+
+
 def dispatch(argv):
-    """Run one command; returns (exit_code, report or None)."""
+    """Run one command; returns (exit_code, report dict or None).
+
+    The runner returns ``(metrics, verdicts, payload)``.  The report's
+    ``parameters`` are the parsed options without ``_GLOBAL_ENTRIES``, read
+    after the run (``gauge equivariance`` resolves ``orders_out`` there)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (0 if exc.code == 0 else 2), None
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("GDLKIT_SEED", DEFAULT_SEED))
     command = args.command + (f" {args.subcommand}" if hasattr(args, "subcommand") else "")
     start = time.perf_counter()
     try:
-        parameters, metrics, verdicts, payload = args.runner(args, seed)
+        seed = _env_seed() if args.seed is None else args.seed
+        metrics, verdicts, payload = args.runner(args, seed)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"gdlkit: error: {exc}", file=sys.stderr)
         return 2, None
-    report = Report(command=command, parameters=parameters, metrics=metrics,
-                    verdicts=verdicts, seed=seed, payload=payload,
-                    runtime_ms=1000.0 * (time.perf_counter() - start))
+    run_ms = 1000.0 * (time.perf_counter() - start)
+    report = {
+        "command": command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in _GLOBAL_ENTRIES},
+        "metrics": {k: float(v) for k, v in metrics.items()},
+        "verdicts": {k: bool(v) for k, v in verdicts.items()},
+        "seed": seed,
+        **payload,
+    }
     start = time.perf_counter()
     try:
         emit(report, args.output, args.format)
@@ -529,9 +514,8 @@ def dispatch(argv):
         print(f"gdlkit: error: {exc}", file=sys.stderr)
         return 2, report
     report_ms = 1000.0 * (time.perf_counter() - start)
-    print(f"gdlkit: {command}: {report.runtime_ms:.1f} ms, report {report_ms:.1f} ms",
-          file=sys.stderr)
-    return (0 if report.passed() else 1), report
+    print(f"gdlkit: {command}: {run_ms:.1f} ms, report {report_ms:.1f} ms", file=sys.stderr)
+    return (0 if all(report["verdicts"].values()) else 1), report
 
 
 def main():

@@ -37,6 +37,11 @@ from .numkit import nullspace_basis
 
 TWO_PI = 2.0 * np.pi
 
+# largest angle grid C_N accepted: kernel_constraint_residual gathers an
+# (N, N, d_out, d_in) array, 25.9 MB at N = 360 for orders (0, 1, 2) (d = 5),
+# with a peak of three such arrays (78 MB)
+BINS_CAP = 360
+
 
 # ---------------------------------------------------------------------------
 # E(3)-equivariant message passing
@@ -382,6 +387,8 @@ def kernel_constraint_basis(orders_in, orders_out, n_bins):
     """
     if n_bins < 1:
         raise ValueError("at least one angle bin required")
+    if n_bins > BINS_CAP:
+        raise ValueError(f"{n_bins} angle bins exceed the cap of {BINS_CAP}")
     orders_in, orders_out = tuple(orders_in), tuple(orders_out)
     alphas = TWO_PI * np.arange(n_bins) / n_bins
     rin, rout = rep_matrix(orders_in, alphas), rep_matrix(orders_out, alphas)

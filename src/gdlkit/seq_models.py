@@ -304,8 +304,8 @@ def gated_rnn_forward(z, h0, params, gate_scale=1.0):
 def chrono_init(t_low, t_high, m, seed):
     """Gate biases ``-log(U(T_l, T_h) - 1)``: the expected gate value then
     sits in ``[1/T_h, 1/T_l]``, matching memory horizons of that range."""
-    if not (1 < t_low <= t_high):
-        raise ValueError("need 1 < t_low <= t_high")
+    if not (1 < t_low <= t_high < np.inf):  # U(T_l, inf) has no finite draws
+        raise ValueError(f"need finite horizons 1 < t_low <= t_high, got {t_low} and {t_high}")
     rng = substream(seed, "chrono-init")
     draws = rng.uniform(t_low, t_high, size=m)
     return -np.log(draws - 1.0)

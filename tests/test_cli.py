@@ -103,6 +103,10 @@ def test_usage_error_exits_2(capsys):
     # one bin draws only the zero rotation, so the probe would test nothing
     (["gauge", "equivariance", "--bins", "1"], "--bins must be at least 2, got 1"),
     (["gauge", "equivariance", "--bins", "0"], "--bins must be at least 2, got 0"),
+    # the constraint residual gathers a (bins, bins, d_out, d_in) array
+    (["gauge", "equivariance", "--bins", "361"], "361 angle bins exceed the cap of 360"),
+    # uniform draws on [t_low, inf) overflow
+    (["lstm", "chrono", "--thigh", "inf"], "need finite horizons 1 < t_low <= t_high"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -124,6 +128,14 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("gdlkit: error: ") and reason in lines[0]
+
+
+def test_unparsable_seed_variable_exits_2_with_one_line_reason(capsys, monkeypatch):
+    monkeypatch.setenv("GDLKIT_SEED", "abc")
+    code, out, err = run(capsys, ["group", "table"])
+    assert code == 2
+    assert out == ""
+    assert err == "gdlkit: error: GDLKIT_SEED must be an integer, got 'abc'\n"
 
 
 def test_group_table_at_the_closure_cap(capsys):
@@ -178,6 +190,70 @@ def test_layer_reports_are_pinned(capsys, argv):
     code, out, _ = run(capsys, ["--seed", "7", *argv.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LAYER_REPORT_DIGESTS[argv]
+
+
+# sha256 of the reports at --seed 7 of commands that run no eigensolve, so
+# their bytes depend on neither the solver nor the BLAS thread count
+REPORT_DIGESTS = {
+    "fourier-instability":
+        "7184413aaf2a46298e6bae81233ae1836c5d08b883a1541816e61b66d9e8530f",
+    "fourier-instability --k0 5":
+        "8eb5401bed169288b146794515115b5cf12da164681cca2493a6288c649eb463",
+    "gauge equivariance":
+        "378b36a400e72d7cbc88dc5b917fd5d48b76acd1ad88161be4dce6995dd1ec5a",
+    "gauge equivariance --orders [0,1] --orders-out [1,2]":
+        "268c533be1523c9aeedb9bc6d4ae1034e665ee6c74381d37cba900329215bf94",
+    "rnn shift-equivariance":
+        "a67576d8411e7a69935a01ab80ee361741cf8e7db09235a1497402da75230279",
+    "lstm chrono":
+        "217856d39448654a7e06cad331bbf99165fbec15c6efb017aa8c4392b5895555",
+    "--format csv gauge equivariance":
+        "d644f68081300ba1e215bfb0fd6746a0e4c57ac5258cd77c1b415480aad5ddc6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_reports_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, ["--seed", "7", *argv.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+# options that keep each command's run short; every other command runs at its defaults
+QUICK_OPTIONS = {
+    "gnn equivariance": ["--n", "6", "--trials", "2"],
+    "egnn equivariance": ["--n", "6", "--trials", "2"],
+    "mesh spectrum": ["--mesh", "icosphere:1", "--k", "8"],
+    "mesh stability": ["--mesh", "icosphere:1"],
+}
+
+
+def leaf_parsers(parser, path=()):
+    """(command words, parser) of every command that has a runner."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+def test_report_parameters_are_the_commands_own_options():
+    leaves = dict(leaf_parsers(build_parser()))
+    assert len(leaves) == 9
+    for command, parser in leaves.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        argv = ["--seed", "7", "--output", os.devnull, *command.split(),
+                *QUICK_OPTIONS.get(command, [])]
+        code, report = dispatch(argv)
+        assert code == 0, command
+        assert report["command"] == command
+        assert set(report["parameters"]) == dests, command
+        parsed = vars(build_parser().parse_args(argv))
+        if command == "gauge equivariance":  # reported as resolved from --orders
+            assert parsed["orders_out"] is None
+            parsed["orders_out"] = parsed["orders"]
+        assert report["parameters"] == {dest: parsed[dest] for dest in dests}, command
 
 
 RERUN_ARGV = [

@@ -356,6 +356,9 @@ class TestChronoInit:
             chrono_init(1.0, 10.0, 3, seed=32)
         with pytest.raises(ValueError):
             chrono_init(8.0, 4.0, 3, seed=33)
+        for t_low, t_high in ((5.0, np.inf), (np.inf, np.inf), (5.0, np.nan)):
+            with pytest.raises(ValueError, match="need finite horizons"):
+                chrono_init(t_low, t_high, 3, seed=34)
 
 
 class TestTimeWarp:
