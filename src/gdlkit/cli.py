@@ -109,16 +109,16 @@ def _mesh_from_spec(spec):
 
 
 def _cmd_fourier_instability(args, seed):
-    ratio = grid_signals.modulus_instability_ratio(args.n, args.k0, args.sigma, args.s)
     shift_bins = args.s * args.k0
     spread_bins = args.n / (2.0 * np.pi * args.sigma)
-    verdicts = {}
+    if 0.5 * spread_bins < shift_bins < 1.9 * spread_bins:  # neither claim holds there
+        raise ValueError(f"s*k0 = {shift_bins!r} lies between 0.5 and 1.9 times "
+                         f"n/(2 pi sigma) = {spread_bins!r}, where no verdict is tested")
+    ratio = grid_signals.modulus_instability_ratio(args.n, args.k0, args.sigma, args.s)
     if shift_bins >= 1.9 * spread_bins:
-        verdicts["unstable_at_high_frequency"] = ratio >= 1.0
-    elif shift_bins <= 0.5 * spread_bins:
-        verdicts["stable_at_low_frequency"] = ratio <= 0.3
+        verdicts = {"unstable_at_high_frequency": ratio >= 1.0}
     else:
-        verdicts["ratio_finite"] = np.isfinite(ratio)
+        verdicts = {"stable_at_low_frequency": ratio <= 0.3}
     metrics = {"ratio": ratio, "shift_bins": shift_bins, "spread_bins": spread_bins}
     return metrics, verdicts, {}
 
@@ -224,20 +224,19 @@ def _cmd_mesh_stability(args, seed):
     direct = args.kind == "direct-highpass"
     if not direct and args.degree < 0:
         raise ValueError(f"--degree must be at least 0 for --kind {args.kind}, got {args.degree}")
+    if direct and args.epsilon < 0.005:  # too little jitter to break the direct transfer
+        raise ValueError(f"--epsilon {args.epsilon!r} is below 0.005, where --kind "
+                         "direct-highpass tests no claim")
     mesh = _mesh_from_spec(args.mesh)
     result = spectral.perturbation_stability_experiment(
         mesh, args.epsilon, args.kind, seed, degree=None if direct else args.degree)
     metrics = {"discrepancy": result["discrepancy"]}
-    verdicts = {}
     if direct:
-        if args.epsilon >= 0.005:
-            verdicts["direct_transfer_unstable"] = result["discrepancy"] >= 0.5
-        else:
-            verdicts["completed"] = np.isfinite(result["discrepancy"])
+        verdicts = {"direct_transfer_unstable": result["discrepancy"] >= 0.5}
     else:
         metrics["direct_discrepancy"] = result["direct_discrepancy"]
-        verdicts["filter_stable_vs_direct"] = (
-            result["discrepancy"] <= 0.1 * result["direct_discrepancy"])
+        verdicts = {"filter_stable_vs_direct":
+                    result["discrepancy"] <= 0.1 * result["direct_discrepancy"]}
     payload = {"mesh": args.mesh, "epsilon": args.epsilon,
                "kind": result["kind"], "discrepancy": result["discrepancy"]}
     return metrics, verdicts, payload

@@ -42,6 +42,13 @@ TWO_PI = 2.0 * np.pi
 # with a peak of three such arrays (78 MB)
 BINS_CAP = 360
 
+# largest neighbour basis (N d_out^2 d_in^2 floats) or constraint residual
+# (N^2 d_out d_in floats) accepted for a pair of feature types: that residual
+# at N = BINS_CAP for orders (0, 1, 2), 25.9 MB.  ``gauge equivariance`` on
+# icosphere:2 peaks at 116 MB RSS there and at 134 MB on the edge case of
+# 2 bins and 35 scalar channels (2-core Xeon, 1 BLAS thread)
+FLOATS_CAP = BINS_CAP**2 * 5 * 5
+
 
 # ---------------------------------------------------------------------------
 # E(3)-equivariant message passing
@@ -232,8 +239,9 @@ def one_ring_log_map(mesh, frames):
     rescaled by ``2 pi / total angle`` so the flattened star closes up; an
     open fan at a boundary vertex keeps its angles unscaled (de Haan et al.
     2021), since stretching it to a full turn would put its first and last
-    spokes on one direction.  The offset puts the frame's reference edge
-    (lowest neighbour index) at angle zero.
+    spokes on one direction.  Angle zero is the lowest-index neighbour, the
+    reference direction :func:`tangent_frames` also picks, so ``frames`` is
+    not read; the parameter stays for existing callers.
     """
     v = mesh.vertices
     n = mesh.n_vertices
@@ -269,7 +277,9 @@ def transport_angles(mesh, frames, conn):
     Unfolding the two faces sharing edge (u, v) into a plane, the direction
     u -> v seen at u, reversed, must coincide with v -> u seen at v:
     ``g_{v->u} = (theta_uv + pi) - theta_vu``.  Antisymmetry holds by
-    construction.
+    construction.  Only ``conn`` is read: its angle zero is the lowest-index
+    neighbour, the reference direction :func:`tangent_frames` also picks, so
+    ``mesh`` and ``frames`` stay for existing callers.
     """
     theta = conn.edge_theta
     return Connection(conn.edge_index, conn.reverse, theta, conn.edge_radius,
@@ -390,10 +400,14 @@ def kernel_constraint_basis(orders_in, orders_out, n_bins):
     if n_bins > BINS_CAP:
         raise ValueError(f"{n_bins} angle bins exceed the cap of {BINS_CAP}")
     orders_in, orders_out = tuple(orders_in), tuple(orders_out)
+    d_out, d_in = rep_dimension(orders_out), rep_dimension(orders_in)
+    block = d_out * d_in
+    floats = max(n_bins * block**2, n_bins**2 * block)
+    if floats > FLOATS_CAP:
+        raise ValueError(f"types of dimension {d_in} -> {d_out} at {n_bins} angle bins need "
+                         f"{floats} floats, above the cap of {FLOATS_CAP}")
     alphas = TWO_PI * np.arange(n_bins) / n_bins
     rin, rout = rep_matrix(orders_in, alphas), rep_matrix(orders_out, alphas)
-    d_out, d_in = rout.shape[1], rin.shape[1]
-    block = d_out * d_in
     # row-major vec: vec(B^T X A) = (B^T kron A^T) vec(X)
     average = np.einsum("aji,akl->iljk", rout, rin).reshape(block, block) / n_bins
     fixed = nullspace_basis(average - np.eye(block))
@@ -430,16 +444,16 @@ def kernel_constraint_residual(kernel):
                      np.max(np.abs(shifted @ rin - rout @ kernel.theta_neigh))))
 
 
-def snap_angle(angle, n_bins):
-    """Nearest grid angle in ``C_N``."""
-    step = TWO_PI / n_bins
-    return (np.round(angle / step) % n_bins) * step
+def _grid_index(angle, n_bins):
+    """Index ``k`` of the nearest ``C_N`` grid angle ``k 2 pi / N``."""
+    return np.round(angle / (TWO_PI / n_bins)).astype(int) % n_bins
 
 
 def gauge_conv(mesh, conn, kernel, x):
     """Gauge-equivariant message passing
     ``h_u = Theta_self x_u + sum_v Theta_neigh(theta_uv) rho(g_{v->u}) x_v``
-    with all angles snapped to the kernel's ``C_N`` grid."""
+    with all angles snapped to the kernel's ``C_N`` grid; ``rho`` is gathered
+    from its ``N`` grid matrices."""
     x = np.asarray(x, dtype=float)
     d_in = rep_dimension(kernel.orders_in)
     if x.shape != (mesh.n_vertices, d_in):
@@ -450,9 +464,9 @@ def gauge_conv(mesh, conn, kernel, x):
     if indptr.size != mesh.n_vertices + 1:
         raise ValueError("connection was built on a mesh with another vertex count")
     n_bins = kernel.n_bins
-    bins = np.round(conn.edge_theta / (TWO_PI / n_bins)).astype(int) % n_bins
-    rho = rep_matrix(kernel.orders_in, snap_angle(conn.edge_transport, n_bins))
-    moved = np.einsum("eij,ej->ei", rho, x[senders])
+    bins = _grid_index(conn.edge_theta, n_bins)
+    grid = rep_matrix(kernel.orders_in, np.arange(n_bins) * (TWO_PI / n_bins))
+    moved = np.einsum("eij,ej->ei", grid[_grid_index(conn.edge_transport, n_bins)], x[senders])
     msgs = np.einsum("eij,ej->ei", kernel.theta_neigh[bins], moved)
     return x @ kernel.theta_self.T + tree_sum(msgs, indptr)
 

@@ -235,14 +235,10 @@ def group_convolve(x, theta, action):
 
 
 def group_self_convolve(x, theta, group):
-    """Convolution of signals on the group itself:
-    ``(x * theta)(g) = sum_h x(h) theta(g^{-1} h)``."""
-    x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    n = group.order
-    if x.shape != (n,) or theta.shape != (n,):
-        raise ValueError("signals must be indexed by group elements")
-    return theta[group.table[group.inverses]] @ x
+    """Convolution of signals on the group itself,
+    ``(x * theta)(g) = sum_h x(h) theta(g^{-1} h)``: :func:`group_convolve`
+    over the left-regular action ``g.h = gh``, which checks the table first."""
+    return group_convolve(x, theta, GroupAction(group, group.table))
 
 
 # ---------------------------------------------------------------------------

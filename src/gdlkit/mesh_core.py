@@ -319,7 +319,6 @@ def _load_off(path):
         if len(tokens) != 3:
             raise ValueError(f"OFF line {n}: a vertex needs 3 coordinates, got {len(tokens)}")
         verts.append(_numbers(tokens, float, f"OFF line {n}"))
-    verts = np.array(verts)
     faces = []
     for n, tokens in lines[2 + nv:2 + nv + nf]:
         where = f"OFF line {n}"
@@ -328,10 +327,7 @@ def _load_off(path):
         if len(tokens) < 4:
             raise ValueError(f"{where}: a face needs 3 vertex indices, got {len(tokens) - 1}")
         faces.append(_numbers(tokens[1:4], int, where))
-    faces = np.array(faces, dtype=int)
-    if faces.size and (faces.min() < 0 or faces.max() >= nv):
-        raise ValueError("index out of range")
-    return TriMesh(vertices=verts, faces=faces)
+    return TriMesh(vertices=np.array(verts), faces=np.array(faces, dtype=int))
 
 
 def _load_obj(path):
@@ -355,8 +351,4 @@ def _load_obj(path):
                     raise ValueError(f"{where}: index out of range")
                 faces.append([i - 1 for i in idx])
             # other OBJ statements are outside the supported subset
-    verts = np.array(verts)
-    faces = np.array(faces, dtype=int)
-    if faces.size and faces.max() >= len(verts):
-        raise ValueError("index out of range")
-    return TriMesh(vertices=verts, faces=faces)
+    return TriMesh(vertices=np.array(verts), faces=np.array(faces, dtype=int))

@@ -1,6 +1,8 @@
 """Fourier analysis and filtering in Laplacian eigenbases: coefficients,
 direct spectral transfer, polynomial and Cayley filters computed without
-eigendecomposition, the jitter-stability experiment, and functional maps.
+eigendecomposition and their fits to a transfer function, the
+jitter-stability experiment, and the functional map of a vertex
+correspondence.
 
 The operator behind every filter is the geometric Laplacian ``M^{-1} L``;
 transfer functions are always evaluated against the generalized spectrum
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import mesh_core
 from .graph_nn import check_permutation
-from .numkit import EigenSystem, complex_linear_solve, generalized_sym_eig
+from .numkit import complex_linear_solve, generalized_sym_eig
 from .rng import substream
 
 DEFAULT_BASIS_SIZE = 64
@@ -23,18 +25,12 @@ DEFAULT_BASIS_SIZE = 64
 @dataclass(frozen=True)
 class SpectralBasis:
     """Generalized eigenpairs of a :class:`mesh_core.LaplacianPair`
-    ``(L, M)``, scaled by :func:`generalized_sym_eig` to ``Phi^T M Phi = I``."""
+    ``(L, M)``: ascending ``eigenvalues`` and one column of ``vectors`` each,
+    scaled by :func:`generalized_sym_eig` to ``Phi^T M Phi = I``."""
 
-    eigen: EigenSystem
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
     pair: mesh_core.LaplacianPair
-
-    @property
-    def eigenvalues(self):
-        return self.eigen.eigenvalues
-
-    @property
-    def vectors(self):
-        return self.eigen.eigenvectors
 
     @property
     def k(self):
@@ -52,7 +48,8 @@ class SpectralBasis:
 def spectral_basis(pair, k=None):
     """Smallest-``k`` eigenbasis of a stiffness/mass pair."""
     k = min(pair.n, DEFAULT_BASIS_SIZE) if k is None else k
-    return SpectralBasis(eigen=generalized_sym_eig(pair.stiffness, pair.mass, k), pair=pair)
+    eigen = generalized_sym_eig(pair.stiffness, pair.mass, k)
+    return SpectralBasis(eigenvalues=eigen.eigenvalues, vectors=eigen.eigenvectors, pair=pair)
 
 
 def fourier_coefficients(basis, x):
@@ -75,6 +72,16 @@ def apply_transfer_direct(basis, transfer, x):
     return basis.vectors @ (gains * coeffs)
 
 
+def _operator_series(coefficients, z, step):
+    """``sum_l alpha_l z_l`` with ``z_0 = z`` and ``z_l = step(z_{l-1})``:
+    ``out = alpha_0 z``, then ``z <- step(z)`` and ``out = out + alpha_l z``."""
+    out = coefficients[0] * z
+    for alpha in coefficients[1:]:
+        z = step(z)
+        out = out + alpha * z
+    return out
+
+
 def apply_poly_filter(pair, coefficients, x):
     """Polynomial filter ``sum_l alpha_l (M^{-1} L)^l x`` via repeated sparse
     products; no eigendecomposition."""
@@ -84,12 +91,13 @@ def apply_poly_filter(pair, coefficients, x):
         raise ValueError("dimension mismatch")
     if coefficients.ndim != 1 or coefficients.shape[0] < 1:
         raise ValueError("at least the constant coefficient is required")
-    out = coefficients[0] * x
-    power = x
-    for alpha in coefficients[1:]:
-        power = pair.operator_apply(power)
-        out = out + alpha * power
-    return out
+    return _operator_series(coefficients, x, pair.operator_apply)
+
+
+def _cayley_powers(lam, count):
+    """``((lambda - i)/(lambda + i))^l`` for ``l < count``, one array per ``l``."""
+    ratio = (lam - 1j) / (lam + 1j)
+    return [ratio**ell for ell in range(count)]
 
 
 def cayley_gain(coefficients, lam):
@@ -97,10 +105,9 @@ def cayley_gain(coefficients, lam):
     ``Re(sum_l alpha_l ((lambda - i)/(lambda + i))^l)``."""
     coefficients = np.asarray(coefficients, dtype=complex)
     lam = np.asarray(lam, dtype=float)
-    ratio = (lam - 1j) / (lam + 1j)
     out = np.zeros(lam.shape, dtype=complex)
-    for ell, alpha in enumerate(coefficients):
-        out = out + alpha * ratio**ell
+    for alpha, power in zip(coefficients, _cayley_powers(lam, coefficients.shape[0])):
+        out = out + alpha * power
     return out.real
 
 
@@ -109,20 +116,15 @@ def apply_cayley_filter(pair, coefficients, x):
     ``z_l = (Delta + iI)^{-1} (Delta - iI) z_{l-1}``, ``Delta = M^{-1}L``.
 
     The Cayley transform equals ``(L + iM)^{-1} (L - iM)``, so one sparse
-    LU of ``L + iM`` serves every degree and the operator is never
-    densified."""
+    LU of ``L + iM``, factored before the series, serves every degree and
+    the operator is never densified."""
     coefficients = np.asarray(coefficients, dtype=complex)
     x = np.asarray(x, dtype=float)
     if x.shape[0] != pair.n:
         raise ValueError("dimension mismatch")
-    z = x.astype(complex)
-    out = coefficients[0] * z
     solve = complex_linear_solve(pair.stiffness + 1j * pair.mass)
     minus = pair.stiffness - 1j * pair.mass
-    for alpha in coefficients[1:]:
-        z = solve(minus @ z)
-        out = out + alpha * z
-    return out.real
+    return _operator_series(coefficients, x.astype(complex), lambda z: solve(minus @ z)).real
 
 
 def highpass_bump(eigenvalues):
@@ -147,8 +149,7 @@ def fit_cayley_to_transfer(transfer, eigenvalues, degree):
     """Least-squares complex Cayley coefficients matching a transfer function
     at the sampled eigenvalues."""
     lam = np.asarray(eigenvalues, dtype=float)
-    ratio = (lam - 1j) / (lam + 1j)
-    basis = np.stack([ratio**ell for ell in range(degree + 1)], axis=1)
+    basis = np.stack(_cayley_powers(lam, degree + 1), axis=1)
     design = np.concatenate([basis.real, -basis.imag], axis=1)
     target = transfer(lam)
     sol, *_ = np.linalg.lstsq(design, target, rcond=None)
@@ -227,18 +228,3 @@ def fmap_from_pointmap(basis_a, basis_b, pointmap):
     permuted = np.zeros((n_b, basis_a.k))
     permuted[pointmap] = basis_a.vectors  # Pi Phi_A
     return basis_b.vectors.T @ (basis_b.mass @ permuted)
-
-
-def fmap_apply(c, coefficients):
-    """Transport Fourier coefficients through the map."""
-    return c @ np.asarray(coefficients, dtype=float)
-
-
-def fmap_conjugate_operator(c, q):
-    """Operator transport ``Q' = C Q C^T`` (remeshing-invariant quantities of
-    ``Q`` are functions of its spectrum, unchanged for orthogonal ``C``)."""
-    c = np.asarray(c, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if c.shape[1] != q.shape[0] or q.shape[0] != q.shape[1]:
-        raise ValueError("shape mismatch")
-    return c @ q @ c.T

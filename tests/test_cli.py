@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdlkit
-from gdlkit import mesh_core, seq_models
+from gdlkit import equivariant_geo, grid_signals, mesh_core, seq_models, spectral
 from gdlkit.cli import _dumps, _random_geometric_graph, _random_graph, build_parser, dispatch
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdlkit.__file__)))
@@ -24,10 +24,14 @@ FLIPPED = "<icosphere 2 with face 0 reversed, as OFF>"
 HEADER_ONLY = "<an OFF file holding only its header line>"
 TWO_COORDS = "<an OFF file whose second vertex has two coordinates>"
 BAD_INDEX = "<an OBJ file with the face f 1 2 x>"
+OFF_FACE_BEYOND = "<an OFF file of 3 vertices with the face 3 0 1 3>"
+OBJ_FACE_BEYOND = "<an OBJ file of 3 vertices with the face f 1 2 4>"
 MESH_FILES = {
     HEADER_ONLY: ("header.off", "OFF\n"),
     TWO_COORDS: ("flat.off", "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n"),
     BAD_INDEX: ("bad.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n"),
+    OFF_FACE_BEYOND: ("beyond.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n"),
+    OBJ_FACE_BEYOND: ("beyond.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n"),
 }
 
 
@@ -107,6 +111,9 @@ def test_usage_error_exits_2(capsys):
     (["gauge", "equivariance", "--bins", "361"], "361 angle bins exceed the cap of 360"),
     # uniform draws on [t_low, inf) overflow
     (["lstm", "chrono", "--thigh", "inf"], "need finite horizons 1 < t_low <= t_high"),
+    # the mesh refuses a face index past its vertices, whichever file it came from
+    (["mesh", "spectrum", "--mesh", OFF_FACE_BEYOND], "face index out of range"),
+    (["mesh", "spectrum", "--mesh", OBJ_FACE_BEYOND], "face index out of range"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -128,6 +135,57 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("gdlkit: error: ") and reason in lines[0]
+
+
+# n/(2 pi sigma) at the default n and sigma; at --k0 32 the shift s*k0 is s
+# scaled by a power of two, so it lands exactly on a multiple of it
+SPREAD = 1024 / (2.0 * np.pi * 32.0)
+
+
+def fourier_at_shift(shift):
+    return ["fourier-instability", "--k0", "32", "--s", repr(float(shift) / 32)]
+
+
+def direct_at_epsilon(epsilon):
+    return ["mesh", "stability", "--mesh", "icosphere:1", "--kind", "direct-highpass",
+            "--epsilon", repr(float(epsilon))]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # between the edges neither the stability nor the instability claim holds
+    (fourier_at_shift(np.nextafter(0.5 * SPREAD, np.inf)), "where no verdict is tested"),
+    (fourier_at_shift(np.nextafter(1.9 * SPREAD, -np.inf)), "where no verdict is tested"),
+    # too little jitter to break the direct transfer
+    (direct_at_epsilon(np.nextafter(0.005, 0.0)), "is below 0.005, where --kind direct-highpass"),
+    (direct_at_epsilon(0.0), "is below 0.005, where --kind direct-highpass"),
+    # a neighbour basis of 8 * 32^4 floats (67 MB)
+    (["gauge", "equivariance", "--orders", json.dumps([0] * 32)],
+     "types of dimension 32 -> 32 at 8 angle bins need 8388608 floats, above the cap"),
+])
+def test_refusals_come_before_any_work(capsys, monkeypatch, argv, reason):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused run started its work")
+
+    monkeypatch.setattr(grid_signals, "modulus_instability_ratio", unreachable)
+    monkeypatch.setattr(spectral, "perturbation_stability_experiment", unreachable)
+    monkeypatch.setattr(mesh_core, "icosphere", unreachable)
+    monkeypatch.setattr(equivariant_geo, "rep_matrix", unreachable)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gdlkit: error: ") and reason in lines[0]
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (fourier_at_shift(0.5 * SPREAD), "stable_at_low_frequency"),
+    (fourier_at_shift(1.9 * SPREAD), "unstable_at_high_frequency"),
+    (direct_at_epsilon(0.005), "direct_transfer_unstable"),
+    (["gauge", "equivariance", "--orders", "[0,1,2]"], "gauge_equivariant"),
+])
+def test_region_edges_are_accepted(capsys, argv, verdict):
+    code, out, _ = run(capsys, argv)
+    assert code in (0, 1)
+    assert list(json.loads(out)["verdicts"]) == [verdict]
 
 
 def test_unparsable_seed_variable_exits_2_with_one_line_reason(capsys, monkeypatch):

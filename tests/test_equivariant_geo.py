@@ -3,7 +3,7 @@ import pytest
 
 from gdlkit import equivariant_geo as geo
 from gdlkit import mesh_core
-from gdlkit.graph_nn import adjacency_from_edges, edge_index, mlp_init
+from gdlkit.graph_nn import adjacency_from_edges, edge_index, mlp_init, tree_sum
 from gdlkit.rng import substream
 
 TWO_PI = 2.0 * np.pi
@@ -601,6 +601,56 @@ class TestGaugeConv:
         kernel = geo.kernel_constraint_basis((0,), (0,), 4)[0]
         with pytest.raises(ValueError, match="another vertex count"):
             geo.gauge_conv(other, conn, kernel, np.zeros((other.n_vertices, 1)))
+
+
+    # at 6 bins some k 2 pi / N round differently from k (2 pi / N)
+    @pytest.mark.parametrize("bins", [4, 6, 8])
+    def test_rho_equals_per_edge_rep_matrix_at_snapped_angles(self, sphere_connection, bins):
+        # oracle: rho evaluated per edge at the transport snapped onto C_N, as
+        # gauge_conv did before it gathered rho from the N grid matrices
+        mesh, _, conn = sphere_connection
+        rng = substream(bins, "gauge-gather-test")
+        step = TWO_PI / bins
+        transport = conn.edge_transport.copy()
+        transport[0::3] = (np.arange(transport[0::3].size) % bins + 0.5) * step  # half-bin
+        transport[1::3] = np.nextafter(TWO_PI, 0.0)  # snaps to bin 0
+        conn = geo.Connection(conn.edge_index, conn.reverse, conn.edge_theta, conn.edge_radius,
+                              transport)
+        orders_in, orders_out = (0, 1, 2), (1, 0)
+        basis = geo.kernel_constraint_basis(orders_in, orders_out, bins)
+        kernel = geo.kernel_from_coefficients(basis, rng.standard_normal(len(basis)))
+        x = rng.standard_normal((mesh.n_vertices, 5))
+        _, senders, indptr = conn.edge_index
+        snapped = (np.round(transport / step) % bins) * step
+        moved = np.einsum("eij,ej->ei", geo.rep_matrix(orders_in, snapped), x[senders])
+        bin_index = np.round(conn.edge_theta / step).astype(int) % bins
+        msgs = np.einsum("eij,ej->ei", kernel.theta_neigh[bin_index], moved)
+        expected = x @ kernel.theta_self.T + tree_sum(msgs, indptr)
+        assert np.array_equal(geo.gauge_conv(mesh, conn, kernel, x), expected)
+
+
+class TestTypeSizeCap:
+    def test_the_reference_case_is_at_the_cap(self):
+        # the constraint residual at the bins cap for orders (0, 1, 2) sets the cap
+        assert len(geo.kernel_constraint_basis((0, 1, 2), (0, 1, 2), geo.BINS_CAP)) > 0
+        assert len(geo.kernel_constraint_basis((0, 1, 2), (0, 1, 2), 8)) > 0
+
+    @pytest.mark.parametrize("orders_in, orders_out, bins, floats", [
+        ((0,) * 32, (0,) * 32, 8, 8 * 32**4),  # neighbour basis N d_out^2 d_in^2
+        ((0, 1, 2, 0), (0, 1, 2, 0), 360, 360**2 * 6**2),  # residual N^2 d_out d_in
+        ((0,) * 36, (0,) * 36, 2, 2 * 36**4),
+    ])
+    def test_larger_type_pairs_are_refused_before_any_array(self, monkeypatch, orders_in,
+                                                             orders_out, bins, floats):
+        def unreachable(*args):
+            raise AssertionError("an array was built for a refused type pair")
+
+        monkeypatch.setattr(geo, "rep_matrix", unreachable)
+        dims = f"{geo.rep_dimension(orders_in)} -> {geo.rep_dimension(orders_out)}"
+        reason = (f"types of dimension {dims} at {bins} angle bins need {floats} floats, "
+                  "above the cap of 3240000")
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            geo.kernel_constraint_basis(orders_in, orders_out, bins)
 
 
 class TestGaugeTransform:

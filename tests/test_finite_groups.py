@@ -403,6 +403,30 @@ class TestGroupSelfConvolve:
             assert abs(out[g] - brute) <= 1e-12
 
 
+    @pytest.mark.parametrize("generators,domain", [
+        ([np.array([1, 2, 0]), np.array([1, 0, 2])], 3),
+        (cube_rotation_generators(), 27),
+        ([(np.arange(240) + 1) % 240], 240),
+    ])
+    def test_equals_the_table_gather(self, generators, domain):
+        # oracle: the gather of the former separate implementation
+        group, _ = group_from_generators(domain, generators)
+        x, theta = np.random.default_rng(domain).standard_normal((2, group.order))
+        expected = theta[group.table[group.inverses]] @ x
+        assert np.array_equal(group_self_convolve(x, theta, group), expected)
+
+    @pytest.mark.parametrize("table, reason", [
+        # identity row but a non-associative product: (1 1) 2 = 0, 1 (1 2) = 1
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "action not compatible with composition"),
+        ([[1, 0], [0, 1]], "identity must act as the identity permutation"),
+    ])
+    def test_a_table_that_is_no_group_is_refused(self, table, reason):
+        group = FiniteGroup(table=np.array(table))
+        x = np.ones(group.order)
+        with pytest.raises(ValueError, match=reason):
+            group_self_convolve(x, x, group)
+
+
 class TestTransformConvolve:
     def test_trivial_subgroup_is_plain_correlation(self):
         n = 8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gdlkit import mesh_core
-from gdlkit.numkit import sym_eig
+from gdlkit.numkit import complex_linear_solve
 from gdlkit.rng import substream
 from gdlkit.spectral import (
     apply_cayley_filter,
@@ -11,8 +11,6 @@ from gdlkit.spectral import (
     cayley_gain,
     fit_cayley_to_transfer,
     fit_poly_to_transfer,
-    fmap_apply,
-    fmap_conjugate_operator,
     fmap_from_pointmap,
     fourier_coefficients,
     highpass_bump,
@@ -162,6 +160,55 @@ def test_cayley_matches_dense_solve_oracle():
     assert np.max(np.abs(out - expected.real)) <= 1e-8 * max(1.0, np.max(np.abs(expected.real)))
 
 
+@pytest.fixture(scope="module")
+def jittered_sphere3():
+    return mesh_core.cotan_laplacian(mesh_core.jitter_mesh(mesh_core.icosphere(3), 0.01, seed=5))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 6])
+def test_filters_equal_their_own_power_loops(jittered_sphere3, degree):
+    # oracles: each filter's power loop as it was written before the two
+    # shared one series loop; the shared loop must give the same bits
+    pair = jittered_sphere3
+    rng = np.random.default_rng(15 + degree)
+    x = rng.standard_normal((pair.n, 2))
+    coeff = rng.standard_normal(degree + 1)
+    expected = coeff[0] * x
+    power = x
+    for alpha in coeff[1:]:
+        power = pair.operator_apply(power)
+        expected = expected + alpha * power
+    assert np.array_equal(apply_poly_filter(pair, coeff, x), expected)
+
+    ccoeff = coeff + 1j * rng.standard_normal(degree + 1)
+    z = x.astype(complex)
+    expected = ccoeff[0] * z
+    solve = complex_linear_solve(pair.stiffness + 1j * pair.mass)
+    minus = pair.stiffness - 1j * pair.mass
+    for alpha in ccoeff[1:]:
+        z = solve(minus @ z)
+        expected = expected + alpha * z
+    assert np.array_equal(apply_cayley_filter(pair, ccoeff, x), expected.real)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 6])
+def test_cayley_gain_and_fit_equal_their_own_ratio_powers(sphere2_full_basis, degree):
+    lam = sphere2_full_basis.eigenvalues
+    coeff = np.random.default_rng(degree).standard_normal(degree + 1) + 0.5j
+    ratio = (lam - 1j) / (lam + 1j)
+    expected = np.zeros(lam.shape, dtype=complex)
+    for ell, alpha in enumerate(coeff):
+        expected = expected + alpha * ratio**ell
+    assert np.array_equal(cayley_gain(coeff, lam), expected.real)
+
+    transfer = highpass_bump(lam)
+    basis = np.stack([ratio**ell for ell in range(degree + 1)], axis=1)
+    sol, *_ = np.linalg.lstsq(np.concatenate([basis.real, -basis.imag], axis=1), transfer(lam),
+                              rcond=None)
+    assert np.array_equal(fit_cayley_to_transfer(transfer, lam, degree),
+                          sol[: degree + 1] + 1j * sol[degree + 1:])
+
+
 class TestStabilityExperiment:
     def test_zero_jitter_zero_discrepancy(self):
         mesh = mesh_core.icosphere(2)
@@ -228,7 +275,7 @@ class TestFunctionalMaps:
         x = rng.standard_normal(pair.n)
         pointmap = rng.permutation(pair.n)
         c = fmap_from_pointmap(basis, basis, pointmap)
-        transported = basis.vectors @ fmap_apply(c, fourier_coefficients(basis, x))
+        transported = basis.vectors @ (c @ fourier_coefficients(basis, x))
         expected = np.empty_like(x)
         expected[pointmap] = x
         assert np.max(np.abs(transported - expected)) <= 1e-7
@@ -247,32 +294,6 @@ class TestFunctionalMaps:
             fmap_from_pointmap(basis, basis, np.arange(pair.n) + 0.5)
         c = fmap_from_pointmap(basis, basis, np.arange(pair.n, dtype=float))
         assert np.max(np.abs(c - np.eye(8))) <= 1e-8
-
-    def test_conjugation_identity(self):
-        q = np.diag([1.0, 2.0, 3.0])
-        assert np.array_equal(fmap_conjugate_operator(np.eye(3), q), q)
-
-    def test_spectrum_invariant_under_orthogonal_conjugation(self):
-        rng = np.random.default_rng(12)
-        q = rng.standard_normal((10, 10))
-        q = (q + q.T) / 2
-        c, _ = np.linalg.qr(rng.standard_normal((10, 10)))
-        conjugated = fmap_conjugate_operator(c, q)
-        ev1 = sym_eig(q).eigenvalues
-        ev2 = sym_eig((conjugated + conjugated.T) / 2).eigenvalues
-        assert np.max(np.abs(ev1 - ev2)) <= 1e-9
-
-    def test_permutation_conjugation_relabels(self):
-        rng = np.random.default_rng(13)
-        q = rng.standard_normal((6, 6))
-        p = rng.permutation(6)
-        pm = np.zeros((6, 6))
-        pm[p, np.arange(6)] = 1.0
-        # (P Q P^T)[p[i], p[j]] = Q[i, j]
-        out = fmap_conjugate_operator(pm, q)
-        for i in range(6):
-            for j in range(6):
-                assert out[p[i], p[j]] == q[i, j]
 
 
 def test_highpass_bump_peaks_at_ninetieth_percentile(sphere2_full_basis):
