@@ -237,9 +237,7 @@ def _cmd_mesh_stability(args, seed):
         metrics["direct_discrepancy"] = result["direct_discrepancy"]
         verdicts = {"filter_stable_vs_direct":
                     result["discrepancy"] <= 0.1 * result["direct_discrepancy"]}
-    payload = {"mesh": args.mesh, "epsilon": args.epsilon,
-               "kind": result["kind"], "discrepancy": result["discrepancy"]}
-    return metrics, verdicts, payload
+    return metrics, verdicts, {}
 
 
 def _random_geometric_graph(n, d, rng):
@@ -322,8 +320,7 @@ def _cmd_gauge_equivariance(args, seed):
     kernel = geo.kernel_from_coefficients(basis, rng.standard_normal(len(basis)))
     x = rng.standard_normal((mesh.n_vertices, geo.rep_dimension(orders_in)))
     base = geo.gauge_conv(mesh, conn, kernel, x)
-    step = 2.0 * np.pi / args.bins
-    angles = step * rng.integers(0, args.bins, size=mesh.n_vertices)
+    angles = 2.0 * np.pi * rng.integers(0, args.bins, size=mesh.n_vertices) / args.bins
     _, conn2, x2 = geo.gauge_transform(frames, conn, x, angles, orders_in)
     transformed = geo.gauge_conv(mesh, conn2, kernel, x2)
     expected = np.einsum("nij,nj->ni", geo.rep_matrix(orders_out, -angles), base)

@@ -16,14 +16,16 @@ Two constructions live here:
   and self kernels that commute with the grid rotations.  One-rings and corner
   angles are read from the half-edge index of
   :func:`gdlkit.mesh_core.half_edge_index`, which the log map builds and
-  which checks that the mesh is manifold; reference neighbours are read
-  straight from the face corners.  The connection keeps one array per edge
-  quantity, so transport, convolution and gauge change are edge gathers.
+  which checks that the mesh is manifold; the frames' reference neighbours
+  are read straight from the face corners.  The connection keeps one array
+  per edge quantity, so transport, convolution and gauge change are edge
+  gathers.
 
 The rotation group is discretised to the cyclic grid ``C_N``: all angles
 entering the convolution are snapped to the grid, which makes the kernel
 constraint set finite and the equivariance property exact rather than
-approximate.
+approximate.  The constraint and the convolution share one set of grid
+matrices, ``rho`` at the angles ``2 pi k / N``.
 """
 
 from collections.abc import Mapping
@@ -148,18 +150,9 @@ class GaugeFrameField:
             raise ValueError("normal must equal e1 x e2")
 
 
-def _corner_angles(v, centre, a, b):
-    """Interior angle at ``centre`` between the edges to ``a`` and ``b``."""
-    e1, e2 = v[a] - v[centre], v[b] - v[centre]
-    cosang = np.einsum("ij,ij->i", e1, e2) / (
-        np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
-
-
 def _reference_neighbours(mesh):
     """Lowest one-ring neighbour per vertex (``n`` where there is none), read
-    from the face corners: the frame's reference direction and the log map's
-    angle zero."""
+    from the face corners: the frame's reference direction."""
     f = mesh.faces
     ref = np.full(mesh.n_vertices, mesh.n_vertices)
     others = np.minimum(np.roll(f, -1, axis=1), np.roll(f, -2, axis=1))
@@ -245,9 +238,8 @@ def one_ring_log_map(mesh, frames):
     """
     v = mesh.vertices
     n = mesh.n_vertices
-    index = half_edge_index(mesh)
+    index, angle = _star_corners(mesh)
     centre, step = index.centre, index.step
-    angle = _corner_angles(v, centre, index.first, index.second)
     # column k + 1 of a vertex's row holds its k-th corner in walk order, so
     # a cumulative sum along the row puts ring vertex k at column k
     walk = np.zeros((n, int(step.max(initial=0)) + 2))
@@ -262,10 +254,12 @@ def one_ring_log_map(mesh, frames):
     steps = np.concatenate([step, step[fan_end] + 1])
     order = np.argsort(us * n + nbrs)
     us, nbrs, steps = us[order], nbrs[order], steps[order]
-    is_ref = nbrs == _reference_neighbours(mesh)[us]
+    indptr = np.searchsorted(us, np.arange(n + 1))
+    # the first edge of each vertex's segment goes to its lowest neighbour
+    ref = indptr[:-1][indptr[:-1] < indptr[1:]]
     offset = np.zeros(n)
-    offset[us[is_ref]] = polar[us[is_ref], steps[is_ref]]
-    return Connection((us, nbrs, np.searchsorted(us, np.arange(n + 1))),
+    offset[us[ref]] = polar[us[ref], steps[ref]]
+    return Connection((us, nbrs, indptr),
                       np.searchsorted(us * n + nbrs, nbrs * n + us),
                       (polar[us, steps] - offset[us]) % TWO_PI,
                       np.linalg.norm(v[nbrs] - v[us], axis=1))
@@ -289,7 +283,11 @@ def transport_angles(mesh, frames, conn):
 def _star_corners(mesh):
     """The half-edge index of ``mesh`` and the interior angle of each corner."""
     index = half_edge_index(mesh)
-    return index, _corner_angles(mesh.vertices, index.centre, index.first, index.second)
+    v = mesh.vertices
+    e1, e2 = v[index.first] - v[index.centre], v[index.second] - v[index.centre]
+    cosang = np.einsum("ij,ij->i", e1, e2) / (
+        np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))
+    return index, np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 def angle_defect(mesh):
@@ -366,6 +364,12 @@ def rep_matrix(orders, angle):
     return out
 
 
+def _grid_matrices(orders, n_bins):
+    """``rep_matrix(orders, 2 pi k / N)`` for ``k = 0..N-1``: the ``C_N`` grid
+    matrices that the kernel constraint and the convolution both read."""
+    return rep_matrix(orders, TWO_PI * np.arange(n_bins) / n_bins)
+
+
 @dataclass(frozen=True)
 class GaugeKernel:
     """Self and per-angle-bin neighbour filter matrices for fixed feature
@@ -406,8 +410,7 @@ def kernel_constraint_basis(orders_in, orders_out, n_bins):
     if floats > FLOATS_CAP:
         raise ValueError(f"types of dimension {d_in} -> {d_out} at {n_bins} angle bins need "
                          f"{floats} floats, above the cap of {FLOATS_CAP}")
-    alphas = TWO_PI * np.arange(n_bins) / n_bins
-    rin, rout = rep_matrix(orders_in, alphas), rep_matrix(orders_out, alphas)
+    rin, rout = _grid_matrices(orders_in, n_bins), _grid_matrices(orders_out, n_bins)
     # row-major vec: vec(B^T X A) = (B^T kron A^T) vec(X)
     average = np.einsum("aji,akl->iljk", rout, rin).reshape(block, block) / n_bins
     fixed = nullspace_basis(average - np.eye(block))
@@ -437,8 +440,8 @@ def kernel_constraint_residual(kernel):
     at numerical zero."""
     n_bins = kernel.n_bins
     steps = np.arange(n_bins)
-    rin = rep_matrix(kernel.orders_in, TWO_PI * steps / n_bins)[:, None]
-    rout = rep_matrix(kernel.orders_out, TWO_PI * steps / n_bins)[:, None]
+    rin = _grid_matrices(kernel.orders_in, n_bins)[:, None]
+    rout = _grid_matrices(kernel.orders_out, n_bins)[:, None]
     shifted = kernel.theta_neigh[(steps[:, None] + steps) % n_bins]  # [step, b]: bin b + step
     return float(max(np.max(np.abs(kernel.theta_self @ rin - rout @ kernel.theta_self)),
                      np.max(np.abs(shifted @ rin - rout @ kernel.theta_neigh))))
@@ -465,7 +468,7 @@ def gauge_conv(mesh, conn, kernel, x):
         raise ValueError("connection was built on a mesh with another vertex count")
     n_bins = kernel.n_bins
     bins = _grid_index(conn.edge_theta, n_bins)
-    grid = rep_matrix(kernel.orders_in, np.arange(n_bins) * (TWO_PI / n_bins))
+    grid = _grid_matrices(kernel.orders_in, n_bins)
     moved = np.einsum("eij,ej->ei", grid[_grid_index(conn.edge_transport, n_bins)], x[senders])
     msgs = np.einsum("eij,ej->ei", kernel.theta_neigh[bins], moved)
     return x @ kernel.theta_self.T + tree_sum(msgs, indptr)

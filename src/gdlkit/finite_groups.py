@@ -51,6 +51,11 @@ class GroupAction:
             raise ValueError(f"perms of shape {p.shape}, expected (order={g.order}, n)")
         n = p.shape[1]
         p = check_indices(p, n, f"perms entries must be integers in range({n})")
+        hit = np.zeros(p.shape, dtype=bool)
+        hit[np.arange(g.order)[:, None], p] = True  # a row hits every index iff it permutes
+        if not hit.all():
+            raise ValueError(f"perms row {int(np.argmin(hit.all(axis=1)))} is not a "
+                             f"permutation of range({n})")
         object.__setattr__(self, "perms", p)
         if not np.array_equal(p[g.identity], np.arange(self.domain_size)):
             raise ValueError("identity must act as the identity permutation")
@@ -61,8 +66,9 @@ class GroupAction:
 
 @dataclass(frozen=True)
 class Representation:
-    """Matrix per group element, ``(order, d, d)``, with ``rho(gh) = rho(g) rho(h)``;
-    each is invertible, as ``rho(g) rho(g^{-1}) = rho(e) = I``."""
+    """Matrix per group element, ``(order, d, d)``, with ``rho(e) = I`` and
+    ``rho(gh) = rho(g) rho(h)`` checked over a generating set of the table; no
+    inverse is checked, so the matrices are invertible only on a group table."""
 
     group: FiniteGroup
     matrices: np.ndarray

@@ -372,6 +372,16 @@ def _histogram(colours):
     return tuple(sorted(int(c) for c in counts))
 
 
+def _wl_rounds(graphs, colours, rounds):
+    """The colours of every graph after each of ``rounds`` refinement rounds,
+    starting from ``colours`` (one array per graph) and interned in one
+    table, so that colour ids compare across the graphs."""
+    table = {}
+    for _ in range(rounds):
+        colours = _refine_once(colours, graphs, table)
+        yield colours
+
+
 def wl_refine(g, rounds, colours=None):
     """Colour histograms (sorted counts) for rounds ``0..rounds``.
 
@@ -386,33 +396,22 @@ def wl_refine(g, rounds, colours=None):
     """
     _check_rounds(rounds)
     colours = _initial_colours(g, colours)
-    table = {}
-    histograms = [_histogram(colours)]
-    state = [colours]
-    for _ in range(rounds):
-        state = _refine_once(state, [g], table)
-        histograms.append(_histogram(state[0]))
-    return histograms
+    return [_histogram(colours)] + [_histogram(c) for (c,) in _wl_rounds([g], [colours], rounds)]
 
 
 def wl_distinguish(g1, g2, rounds):
     """True iff refinement separates the two graphs within ``rounds`` rounds.
 
-    Colours are interned jointly so histograms are comparable across the
-    graphs; a False answer means WL-indistinguishable (necessary but not
-    sufficient for isomorphism).  A negative or non-integer ``rounds``
-    raises ``ValueError``.
+    Colours are interned jointly, and a round separates the graphs when
+    their multisets of colours differ, not only their histograms; a False
+    answer means WL-indistinguishable (necessary but not sufficient for
+    isomorphism).  A negative or non-integer ``rounds`` raises
+    ``ValueError``.
     """
     _check_rounds(rounds)
-    c1, c2 = _initial_colours(g1, None), _initial_colours(g2, None)
     if g1.n != g2.n:
         return True
-    table = {}
-    state = [c1, c2]
-    for _ in range(rounds):
-        state = _refine_once(state, [g1, g2], table)
-        u1, n1 = np.unique(state[0], return_counts=True)
-        u2, n2 = np.unique(state[1], return_counts=True)
-        if not (np.array_equal(u1, u2) and np.array_equal(n1, n2)):
-            return True
-    return False
+    start = [_initial_colours(g1, None), _initial_colours(g2, None)]
+    # equal sizes, so equal sorted colours are equal multisets
+    return any(not np.array_equal(np.sort(c1), np.sort(c2))
+               for c1, c2 in _wl_rounds([g1, g2], start, rounds))

@@ -20,7 +20,7 @@ and not folded into the projection: every pre-activation is rounded as
 (``SimpleRnnParams.step``, ``GatedRnnParams.gate``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -189,22 +189,14 @@ class LstmParams:
 
 
 def lstm_params(input_width, state_width, seed):
+    """Uniform draws in ``+-1/sqrt(input_width)``, one block per field in
+    field order: ``w_*``, ``u_*``, ``b_*``, each ``c, i, f, o``."""
     rng = substream(seed, "lstm")
     bound = 1.0 / np.sqrt(max(input_width, 1))
-
-    def mat(rows, cols):
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    return LstmParams(
-        w_c=mat(state_width, input_width), w_i=mat(state_width, input_width),
-        w_f=mat(state_width, input_width), w_o=mat(state_width, input_width),
-        u_c=mat(state_width, state_width), u_i=mat(state_width, state_width),
-        u_f=mat(state_width, state_width), u_o=mat(state_width, state_width),
-        b_c=rng.uniform(-bound, bound, size=state_width),
-        b_i=rng.uniform(-bound, bound, size=state_width),
-        b_f=rng.uniform(-bound, bound, size=state_width),
-        b_o=rng.uniform(-bound, bound, size=state_width),
-    )
+    shapes = {"w": (state_width, input_width), "u": (state_width, state_width),
+              "b": (state_width,)}
+    return LstmParams(**{f.name: rng.uniform(-bound, bound, size=shapes[f.name[0]])
+                         for f in fields(LstmParams)})
 
 
 def lstm_forward(z, h0, c0, params):

@@ -202,11 +202,7 @@ def perturbation_stability_experiment(mesh, epsilon, kind, seed, degree=None):
                                        apply_cayley_filter(pair_j, coeff, x))
     else:
         discrepancy = direct
-    return {
-        "kind": kind if degree is None else f"{kind}({degree})",
-        "discrepancy": discrepancy,
-        "direct_discrepancy": direct,
-    }
+    return {"discrepancy": discrepancy, "direct_discrepancy": direct}
 
 
 def _relative_change(y, y_j):

@@ -261,6 +261,14 @@ REPORT_DIGESTS = {
         "378b36a400e72d7cbc88dc5b917fd5d48b76acd1ad88161be4dce6995dd1ec5a",
     "gauge equivariance --orders [0,1] --orders-out [1,2]":
         "268c533be1523c9aeedb9bc6d4ae1034e665ee6c74381d37cba900329215bf94",
+    # rotations by the grid matrices at 2 pi k / N, which the kernel constraint
+    # is solved with: max_deviation 7.105427357601002e-15; rotations at
+    # k (2 pi / N) read 7.549516567451064e-15
+    "gauge equivariance --bins 6":
+        "582c866c98f01d132512f53ced283bb0006f80cca9ebe3b1036ea49f72fa6a4e",
+    # likewise 4.440892098500626e-15; at k (2 pi / N) 5.10702591327572e-15
+    "gauge equivariance --bins 12":
+        "f96a539366172b130f547412570b269ef733b814aecb23500683358b06a89378",
     "rnn shift-equivariance":
         "a67576d8411e7a69935a01ab80ee361741cf8e7db09235a1497402da75230279",
     "lstm chrono":
@@ -312,6 +320,15 @@ def test_report_parameters_are_the_commands_own_options():
             assert parsed["orders_out"] is None
             parsed["orders_out"] = parsed["orders"]
         assert report["parameters"] == {dest: parsed[dest] for dest in dests}, command
+
+
+def test_reports_restate_no_option():
+    """Options appear in a report under ``parameters`` alone."""
+    for command, _ in leaf_parsers(build_parser()):
+        argv = ["--seed", "7", "--output", os.devnull, *command.split(),
+                *QUICK_OPTIONS.get(command, [])]
+        _, report = dispatch(argv)
+        assert not set(report) & set(report["parameters"]), command
 
 
 RERUN_ARGV = [

@@ -603,11 +603,12 @@ class TestGaugeConv:
             geo.gauge_conv(other, conn, kernel, np.zeros((other.n_vertices, 1)))
 
 
-    # at 6 bins some k 2 pi / N round differently from k (2 pi / N)
-    @pytest.mark.parametrize("bins", [4, 6, 8])
+    # at 6 and 12 bins some 2 pi k / N round differently from k (2 pi / N)
+    @pytest.mark.parametrize("bins", [4, 6, 8, 12])
     def test_rho_equals_per_edge_rep_matrix_at_snapped_angles(self, sphere_connection, bins):
-        # oracle: rho evaluated per edge at the transport snapped onto C_N, as
-        # gauge_conv did before it gathered rho from the N grid matrices
+        # oracle: rho evaluated per edge at the transport snapped onto the grid
+        # angle 2 pi k / N, as gauge_conv did before it gathered rho from the N
+        # grid matrices
         mesh, _, conn = sphere_connection
         rng = substream(bins, "gauge-gather-test")
         step = TWO_PI / bins
@@ -621,7 +622,7 @@ class TestGaugeConv:
         kernel = geo.kernel_from_coefficients(basis, rng.standard_normal(len(basis)))
         x = rng.standard_normal((mesh.n_vertices, 5))
         _, senders, indptr = conn.edge_index
-        snapped = (np.round(transport / step) % bins) * step
+        snapped = TWO_PI * (np.round(transport / step) % bins) / bins
         moved = np.einsum("eij,ej->ei", geo.rep_matrix(orders_in, snapped), x[senders])
         bin_index = np.round(conn.edge_theta / step).astype(int) % bins
         msgs = np.einsum("eij,ej->ei", kernel.theta_neigh[bin_index], moved)

@@ -235,6 +235,14 @@ def test_action_entries_outside_the_domain_are_refused(dtype, row, value):
         GroupAction(group, perms)
 
 
+def test_an_action_row_that_is_no_permutation_is_refused():
+    # the monoid's left-regular action: row 1 sends both points to 1, and
+    # the composition check over the generator column passes it
+    table = np.array([[0, 1], [1, 1]])
+    with pytest.raises(ValueError, match=r"^perms row 1 is not a permutation of range\(2\)$"):
+        GroupAction(FiniteGroup(table=table), table)
+
+
 def test_action_accepts_integral_floats():
     group, action = group_from_generators(4, [(np.arange(4) + 1) % 4])
     accepted = GroupAction(group, action.perms.astype(float))
@@ -419,6 +427,8 @@ class TestGroupSelfConvolve:
         # identity row but a non-associative product: (1 1) 2 = 0, 1 (1 2) = 1
         ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "action not compatible with composition"),
         ([[1, 0], [0, 1]], "identity must act as the identity permutation"),
+        # a monoid: element 1 has no inverse, and its row is no permutation
+        ([[0, 1], [1, 1]], r"perms row 1 is not a permutation of range\(2\)"),
     ])
     def test_a_table_that_is_no_group_is_refused(self, table, reason):
         group = FiniteGroup(table=np.array(table))

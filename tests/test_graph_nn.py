@@ -444,6 +444,16 @@ class TestWeisfeilerLehman:
         assert wl_distinguish(path_graph(4), star_graph(4), 1)
         assert not wl_distinguish(path_graph(4), star_graph(4), 0)
 
+    def test_equal_histograms_are_separated_by_their_colours(self):
+        # the star K1,3 and a triangle plus an isolated vertex have equal
+        # histograms at every round, but from round 1 on no colour of one
+        # graph occurs in the other
+        triangle_and_point = graph_from_edges(4, [(0, 1), (1, 2), (2, 0)], np.zeros((4, 1)))
+        expected = [(4,), (1, 3), (1, 3)]
+        assert wl_refine(star_graph(4), 2) == wl_refine(triangle_and_point, 2) == expected
+        assert not wl_distinguish(star_graph(4), triangle_and_point, 0)
+        assert wl_distinguish(star_graph(4), triangle_and_point, 1)
+
     def test_initial_colours_refine_from_round_zero(self):
         hists = wl_refine(path_graph(4), 1, colours=[5, -3, -3, 5])
         assert hists == [(2, 2), (2, 2)]

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -196,7 +196,35 @@ class TestPaddedShiftEquivariance:
         assert np.max(np.abs(out - base[1:])) > 1e-6
 
 
+def twelve_call_lstm_params(input_width, state_width, seed):
+    """Reference draw: one ``uniform`` call per block, in field order."""
+    rng = substream(seed, "lstm")
+    bound = 1.0 / np.sqrt(max(input_width, 1))
+
+    def mat(rows, cols):
+        return rng.uniform(-bound, bound, size=(rows, cols))
+
+    return LstmParams(
+        w_c=mat(state_width, input_width), w_i=mat(state_width, input_width),
+        w_f=mat(state_width, input_width), w_o=mat(state_width, input_width),
+        u_c=mat(state_width, state_width), u_i=mat(state_width, state_width),
+        u_f=mat(state_width, state_width), u_o=mat(state_width, state_width),
+        b_c=rng.uniform(-bound, bound, size=state_width),
+        b_i=rng.uniform(-bound, bound, size=state_width),
+        b_f=rng.uniform(-bound, bound, size=state_width),
+        b_o=rng.uniform(-bound, bound, size=state_width),
+    )
+
+
 class TestLstm:
+    @pytest.mark.parametrize("input_width, state_width, seed", [
+        (1, 1, 0), (2, 3, 16), (5, 2, 42), (8, 32, 7), (16, 16, 3), (0, 4, 9)])
+    def test_draws_equal_one_call_per_block(self, input_width, state_width, seed):
+        params = lstm_params(input_width, state_width, seed)
+        expected = twelve_call_lstm_params(input_width, state_width, seed)
+        for f in fields(LstmParams):
+            assert np.array_equal(getattr(params, f.name), getattr(expected, f.name)), f.name
+
     def test_all_zero_params_closed_form(self):
         m = 3
         zeros = {k: np.zeros((m, 2)) for k in ("w_c", "w_i", "w_f", "w_o")}
