@@ -158,7 +158,7 @@ def _cube_rotation_generators():
 def _cmd_group_table(args, seed):
     group, _ = _named_group(args.name)
     report = finite_groups.verify_group_axioms(group)
-    payload = {"order": group.order, "table": finite_groups.cayley_table_json(group)}
+    payload = {"table": finite_groups.cayley_table_json(group)}
     return {"order": group.order}, {"axioms_pass": report.all_pass()}, payload
 
 
@@ -176,8 +176,6 @@ def _random_graph(n, d, rng):
 
 
 def _cmd_gnn_equivariance(args, seed):
-    if min(args.n, args.trials) < 1:  # a probe over nothing passes vacuously
-        raise ValueError(f"--n and --trials must be at least 1, got {args.n} and {args.trials}")
     rng = substream(seed, "gnn-equivariance")
     worst = 0.0
     for trial in range(args.trials):
@@ -222,8 +220,6 @@ def _cmd_mesh_spectrum(args, seed):
 
 def _cmd_mesh_stability(args, seed):
     direct = args.kind == "direct-highpass"
-    if not direct and args.degree < 0:
-        raise ValueError(f"--degree must be at least 0 for --kind {args.kind}, got {args.degree}")
     if direct and args.epsilon < 0.005:  # too little jitter to break the direct transfer
         raise ValueError(f"--epsilon {args.epsilon!r} is below 0.005, where --kind "
                          "direct-highpass tests no claim")
@@ -254,25 +250,14 @@ def _random_rotation(rng, reflect):
     return q
 
 
-def egnn_test_params(d, hidden, seed):
-    rng = substream(seed, "egnn-params")
-    return geo.EgnnParams(
-        psi_f=graph_nn.mlp_init([2 * d + 1, hidden], rng),
-        psi_c=graph_nn.mlp_init([2 * d + 1, 1], rng),
-        phi=graph_nn.mlp_init([d + hidden, d], rng),
-    )
-
-
 def _cmd_egnn_equivariance(args, seed):
-    if min(args.n, args.trials) < 1:  # a probe over nothing passes vacuously
-        raise ValueError(f"--n and --trials must be at least 1, got {args.n} and {args.trials}")
     rng = substream(seed, "egnn-equivariance")
     worst_e3 = 0.0
     worst_perm = 0.0
     d = 5
     for trial in range(args.trials):
         g = _random_geometric_graph(args.n, d, rng)
-        params = egnn_test_params(d, 6, seed + trial)
+        params = geo.egnn_params(d, 6, seed + trial)
         f0, x0 = geo.egnn_layer(g, params)
         rot = _random_rotation(rng, reflect=trial % 2 == 1)
         t = rng.standard_normal(3)
@@ -307,8 +292,6 @@ def _parse_orders(text):
 
 
 def _cmd_gauge_equivariance(args, seed):
-    if args.bins < 2:  # one bin admits only the zero rotation, which tests nothing
-        raise ValueError(f"--bins must be at least 2, got {args.bins}")
     args.orders_out = args.orders_out or args.orders  # the resolved type is reported
     orders_in, orders_out = _parse_orders(args.orders), _parse_orders(args.orders_out)
     # first, so that bins above geo.BINS_CAP are refused before the mesh is built
@@ -331,8 +314,6 @@ def _cmd_gauge_equivariance(args, seed):
 
 
 def _cmd_rnn_shift_equivariance(args, seed):
-    if min(args.T, args.m) < 1:
-        raise ValueError(f"--T and --m must be at least 1, got {args.T} and {args.m}")
     rng = substream(seed, "rnn-shift")
     params = seq_models.simple_rnn_params(args.m, args.m, seed, scale=0.6)
     h0, trace = seq_models.rnn_fixed_point(params, tol=1e-13)
@@ -353,8 +334,6 @@ def _cmd_rnn_shift_equivariance(args, seed):
 
 
 def _cmd_lstm_chrono(args, seed):
-    if args.m < 1:
-        raise ValueError(f"--m must be at least 1, got {args.m}")
     biases = seq_models.chrono_init(args.tlow, args.thigh, args.m, seed)
     gates = 1.0 / (1.0 + np.exp(-biases))
     lo, hi = 1.0 / args.thigh, 1.0 / args.tlow
@@ -367,6 +346,18 @@ def _cmd_lstm_chrono(args, seed):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _at_least(minimum):
+    """An argparse type: an int no smaller than ``minimum``, so that a count
+    below it exits 2 before the runner starts."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -413,8 +404,9 @@ def build_parser():
         dest="subcommand", required=True)
     p = gnn.add_parser("equivariance", help="permutation equivariance probe")
     p.add_argument("--flavour", choices=("conv", "attn", "mpnn"), default="conv")
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--trials", type=int, default=20)
+    # a probe over nothing passes vacuously
+    p.add_argument("--n", type=_at_least(1), default=12)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.set_defaults(runner=_cmd_gnn_equivariance)
 
     mesh = sub.add_parser("mesh", help="mesh spectral commands").add_subparsers(
@@ -427,14 +419,15 @@ def build_parser():
     p.add_argument("--mesh", default="icosphere:3")
     p.add_argument("--epsilon", type=float, default=0.005)
     p.add_argument("--kind", choices=("direct-highpass", "poly", "cayley"), default="poly")
-    p.add_argument("--degree", type=int, default=6)
+    # a degree-0 filter is a multiple of the identity, stable on any mesh
+    p.add_argument("--degree", type=_at_least(1), default=6)
     p.set_defaults(runner=_cmd_mesh_stability)
 
     egnn = sub.add_parser("egnn", help="geometric graph commands").add_subparsers(
         dest="subcommand", required=True)
     p = egnn.add_parser("equivariance", help="E(3) and permutation probes")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--n", type=_at_least(1), default=10)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.set_defaults(runner=_cmd_egnn_equivariance)
 
     gauge = sub.add_parser("gauge", help="gauge convolution commands").add_subparsers(
@@ -443,14 +436,15 @@ def build_parser():
     p.add_argument("--mesh", default="icosphere:2")
     p.add_argument("--orders", default="[0,1]", help="feature type, e.g. [0,0,1]")
     p.add_argument("--orders-out", dest="orders_out", default=None)
-    p.add_argument("--bins", type=int, default=8)
+    # one bin admits only the zero rotation, which tests nothing
+    p.add_argument("--bins", type=_at_least(2), default=8)
     p.set_defaults(runner=_cmd_gauge_equivariance)
 
     rnn = sub.add_parser("rnn", help="recurrent model commands").add_subparsers(
         dest="subcommand", required=True)
     p = rnn.add_parser("shift-equivariance", help="padded shift equivariance")
-    p.add_argument("--T", type=int, default=12)
-    p.add_argument("--m", type=int, default=6)
+    p.add_argument("--T", type=_at_least(1), default=12)
+    p.add_argument("--m", type=_at_least(1), default=6)
     p.set_defaults(runner=_cmd_rnn_shift_equivariance)
 
     lstm = sub.add_parser("lstm", help="gated model commands").add_subparsers(
@@ -458,7 +452,7 @@ def build_parser():
     p = lstm.add_parser("chrono", help="chrono gate-bias initialisation")
     p.add_argument("--tlow", type=float, default=5.0)
     p.add_argument("--thigh", type=float, default=50.0)
-    p.add_argument("--m", type=int, default=1000)
+    p.add_argument("--m", type=_at_least(1), default=1000)
     p.set_defaults(runner=_cmd_lstm_chrono)
 
     return parser

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_nn import MlpParams, adjacency_from_edges, edge_index, tree_sum
+from .graph_nn import MlpParams, adjacency_from_edges, edge_index, mlp_init, tree_sum
 from .mesh_core import half_edge_index
 from .numkit import nullspace_basis
+from .rng import substream
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,6 +96,15 @@ class EgnnParams:
     def __post_init__(self):
         if self.psi_c.out_width != 1:
             raise ValueError("coordinate network must output one scalar")
+
+
+def egnn_params(d, hidden, seed):
+    rng = substream(seed, "egnn-params")
+    return EgnnParams(
+        psi_f=mlp_init([2 * d + 1, hidden], rng),
+        psi_c=mlp_init([2 * d + 1, 1], rng),
+        phi=mlp_init([d + hidden, d], rng),
+    )
 
 
 def egnn_layer(g, params):

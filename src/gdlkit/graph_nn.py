@@ -20,24 +20,16 @@ import numpy as np
 
 from .rng import substream
 
-_ACTIVATIONS = {
-    "tanh": np.tanh,
-    "relu": lambda x: np.maximum(x, 0.0),
-    "identity": lambda x: x,
-}
-
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Dense layers ``x -> act(W x + b)``; an empty layer list is the identity."""
+    """Dense layers ``x -> tanh(W x + b)``; an empty layer list is the identity."""
 
     weights: list
     biases: list
-    activation: str = "tanh"
+    activation = "tanh"  # a class constant, not a field
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases):
             raise ValueError("one bias per weight matrix required")
         for w, b in zip(self.weights, self.biases):
@@ -52,24 +44,23 @@ class MlpParams:
 
     def apply(self, x):
         """Apply to a vector or row-wise to a matrix."""
-        act = _ACTIVATIONS[self.activation]
         out = np.asarray(x, dtype=float)
         single = out.ndim == 1
         if single:
             out = out[None, :]
         for w, b in zip(self.weights, self.biases):
-            out = act(out @ w.T + b)
+            out = np.tanh(out @ w.T + b)
         return out[0] if single else out
 
 
-def mlp_init(widths, rng, activation="tanh"):
+def mlp_init(widths, rng):
     """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialisation."""
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpParams(weights=weights, biases=biases, activation=activation)
+    return MlpParams(weights=weights, biases=biases)
 
 
 def adjacency_from_edges(n, edges):

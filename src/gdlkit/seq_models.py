@@ -16,8 +16,8 @@ for the gated form).  The loop then takes one stacked mat-vec ``U h`` per
 step and applies the nonlinearities in place on row slices of it, writing
 each step straight into its output row.  The bias is added after ``U h``
 and not folded into the projection: every pre-activation is rounded as
-``(W z + U h) + b``, the order of the one-step formulas
-(``SimpleRnnParams.step``, ``GatedRnnParams.gate``).
+``(W z + U h) + b``, the order of the one-step formula
+``SimpleRnnParams.step``.
 """
 
 from dataclasses import dataclass, fields
@@ -244,10 +244,6 @@ class GatedRnnParams:
     def __post_init__(self):
         _check_params(self, self.inner.state_width, self.inner.input_width,
                       ("w_gate",), ("u_gate",), ("b_gate",))
-
-    def gate(self, z, h):
-        from scipy.special import expit
-        return _clamp_gates(expit(self.w_gate @ z + self.u_gate @ h + self.b_gate))
 
 
 def gated_rnn_params(input_width, state_width, seed, gate_bias=None):

@@ -74,19 +74,21 @@ def test_usage_error_exits_2(capsys):
     (["gauge", "equivariance", "--orders", "3"], "orders must be"),
     (["gauge", "equivariance", "--orders", '["a"]'], "orders must be"),
     (["gauge", "equivariance", "--orders-out", "3"], "orders must be"),
-    (["gnn", "equivariance", "--trials", "0"], "--n and --trials must be at least 1"),
-    (["gnn", "equivariance", "--n", "0"], "--n and --trials must be at least 1"),
-    (["egnn", "equivariance", "--trials", "0"], "--n and --trials must be at least 1"),
-    (["egnn", "equivariance", "--n", "0"], "--n and --trials must be at least 1"),
+    (["gnn", "equivariance", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+    (["gnn", "equivariance", "--n", "0"], "argument --n: must be at least 1, got 0"),
+    (["egnn", "equivariance", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+    (["egnn", "equivariance", "--n", "0"], "argument --n: must be at least 1, got 0"),
     (["mesh", "spectrum", "--mesh", FLIPPED], "orientation conflict on directed edge"),
-    (["rnn", "shift-equivariance", "--m", "0"], "--T and --m must be at least 1"),
-    (["rnn", "shift-equivariance", "--T", "0"], "--T and --m must be at least 1"),
-    (["lstm", "chrono", "--m", "0"], "--m must be at least 1"),
+    (["rnn", "shift-equivariance", "--m", "0"], "argument --m: must be at least 1, got 0"),
+    (["rnn", "shift-equivariance", "--T", "0"], "argument --T: must be at least 1, got 0"),
+    (["lstm", "chrono", "--m", "0"], "argument --m: must be at least 1, got 0"),
     (["mesh", "stability", "--epsilon", "-1"], "jitter amplitude must be non-negative"),
     (["group", "table", "--name", "Z0"], "cyclic order must be positive"),
     (["group", "table", "--name", "Q8"], "unknown group name 'Q8'"),
-    (["mesh", "stability", "--kind", "cayley", "--degree", "-1"], "--degree must be at least 0"),
-    (["mesh", "stability", "--kind", "poly", "--degree", "-1"], "--degree must be at least 0"),
+    (["mesh", "stability", "--kind", "cayley", "--degree", "-1"],
+     "argument --degree: must be at least 1, got -1"),
+    (["mesh", "stability", "--kind", "poly", "--degree", "-1"],
+     "argument --degree: must be at least 1, got -1"),
     (["mesh", "spectrum", "--mesh", "icosphere:x"], "mesh spec 'icosphere:x'"),
     (["mesh", "stability", "--mesh", "icosphere:1", "--k", "3"], "unrecognized arguments: --k 3"),
     (["mesh", "stability", "--deg", "2"], "unrecognized arguments: --deg 2"),
@@ -105,8 +107,8 @@ def test_usage_error_exits_2(capsys):
     (["rnn", "shift-equivariance", "--m", "10000000"], "Unable to allocate 728. TiB"),
     (["lstm", "chrono", "--m", str(2 ** 45)], "Unable to allocate 256. TiB"),
     # one bin draws only the zero rotation, so the probe would test nothing
-    (["gauge", "equivariance", "--bins", "1"], "--bins must be at least 2, got 1"),
-    (["gauge", "equivariance", "--bins", "0"], "--bins must be at least 2, got 0"),
+    (["gauge", "equivariance", "--bins", "1"], "argument --bins: must be at least 2, got 1"),
+    (["gauge", "equivariance", "--bins", "0"], "argument --bins: must be at least 2, got 0"),
     # the constraint residual gathers a (bins, bins, d_out, d_in) array
     (["gauge", "equivariance", "--bins", "361"], "361 angle bins exceed the cap of 360"),
     # uniform draws on [t_low, inf) overflow
@@ -114,6 +116,11 @@ def test_usage_error_exits_2(capsys):
     # the mesh refuses a face index past its vertices, whichever file it came from
     (["mesh", "spectrum", "--mesh", OFF_FACE_BEYOND], "face index out of range"),
     (["mesh", "spectrum", "--mesh", OBJ_FACE_BEYOND], "face index out of range"),
+    # a degree-0 filter is a multiple of the identity, stable on any mesh
+    (["mesh", "stability", "--kind", "poly", "--degree", "0"],
+     "argument --degree: must be at least 1, got 0"),
+    (["mesh", "stability", "--kind", "cayley", "--degree", "0"],
+     "argument --degree: must be at least 1, got 0"),
 ])
 def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     if FLIPPED in argv:
@@ -200,18 +207,18 @@ def test_group_table_at_the_closure_cap(capsys):
     code, out, _ = run(capsys, ["group", "table", "--name", "Z1024"])
     assert code == 0
     report = json.loads(out)
-    assert report["order"] == 1024 and len(report["table"]) == 1024
+    assert report["metrics"]["order"] == 1024 and len(report["table"]) == 1024
     assert report["verdicts"] == {"axioms_pass": True}
 
 
 # sha256 of the reports at --seed 7: element indices follow the breadth-first
 # closure, and a reordering of the elements changes these bytes
 GROUP_TABLE_DIGESTS = {
-    "D3": "05f7a48ece8283ee3c1313387526ef5a349f84095de5349482b6c125cb9cb4c5",
-    "Oh": "b49b35ecfa3a38e0e98d03331162b1074e664718410d243aa0e0f17afb167eb6",
-    "revcomp": "aa9097e8734e7007272edb276d6ed7995d5afc9f0f871445e8a3f2b5cf607ab4",
-    "Z12": "efed46062cd494acf04aaec0e69bda8c083e920a220c41e11ba898b29837f871",
-    "Z240": "19661cfa4d48f2846cc0c4a3dc1441ee054a0e0517a423024798f5c95bbed7dc",
+    "D3": "9cfbf519426e0bab36be50fa8eabfd7c62fa57082c8a6a28b34c69203a2d4026",
+    "Oh": "df7e19237a18bd97c0a8f466eb3a0449b7bcf3d1c9d8ce3f37f31d09f2606873",
+    "revcomp": "82106879fe8e762cf3e0b37b2a9d4296e90631f1b01bb515228c502c357a16d6",
+    "Z12": "a2d924fd9807e86fefd62c9e9101cff70314865d6813c15516c42a19f17c86ff",
+    "Z240": "e87272d0bff4e6e8b42c27f73949522afcf58cda1bd167de78da7d95b56803f8",
 }
 
 
@@ -396,6 +403,10 @@ def test_parser_defaults_are_immutable():
                 parsers.extend(action.choices.values())
             else:
                 assert action.default is None or type(action.default) in (str, int, float)
+                # argparse converts only str defaults, so a bound must hold for the
+                # default as written
+                if action.type is not None and action.default is not None:
+                    assert action.type(str(action.default)) == action.default
     assert "gdlkit group table" in {parser.prog for parser in parsers}
 
 

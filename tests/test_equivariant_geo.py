@@ -3,7 +3,7 @@ import pytest
 
 from gdlkit import equivariant_geo as geo
 from gdlkit import mesh_core
-from gdlkit.graph_nn import adjacency_from_edges, edge_index, mlp_init, tree_sum
+from gdlkit.graph_nn import adjacency_from_edges, edge_index, tree_sum
 from gdlkit.rng import substream
 
 TWO_PI = 2.0 * np.pi
@@ -24,15 +24,6 @@ def random_geometric_graph(n, d, rng, p=0.4, irregular=False):
                               features=rng.standard_normal((n, d)), edges=edges)
 
 
-def egnn_params(d, hidden, seed):
-    rng = substream(seed, "egnn-test-params")
-    return geo.EgnnParams(
-        psi_f=mlp_init([2 * d + 1, hidden], rng),
-        psi_c=mlp_init([2 * d + 1, 1], rng),
-        phi=mlp_init([d + hidden, d], rng),
-    )
-
-
 def random_rotation(rng, reflect=False):
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     if (np.linalg.det(q) < 0) != reflect:
@@ -44,7 +35,7 @@ class TestEgnn:
     def test_single_node(self):
         g = geo.GeometricGraph(positions=np.zeros((1, 3)),
                                features=np.array([[0.5, -0.25]]), edges=[])
-        params = egnn_params(2, 3, seed=0)
+        params = geo.egnn_params(2, 3, seed=0)
         f, x = geo.egnn_layer(g, params)
         assert np.array_equal(x, g.positions)
         expected = params.phi.apply(np.concatenate([g.features[0], np.zeros(3)]))
@@ -54,7 +45,7 @@ class TestEgnn:
         g = geo.GeometricGraph(positions=np.array([[0.0, 0, 0], [1.0, 0, 0]]),
                                features=np.array([[0.3, 0.7], [0.3, 0.7]]),
                                edges=[(0, 1)])
-        params = egnn_params(2, 3, seed=1)
+        params = geo.egnn_params(2, 3, seed=1)
         _, x = geo.egnn_layer(g, params)
         d0 = x[0] - g.positions[0]
         d1 = x[1] - g.positions[1]
@@ -65,7 +56,7 @@ class TestEgnn:
         worst = 0.0
         for trial in range(40):
             g = random_geometric_graph(10, 4, rng, irregular=trial >= 20)
-            params = egnn_params(4, 5, seed=trial)
+            params = geo.egnn_params(4, 5, seed=trial)
             f0, x0 = geo.egnn_layer(g, params)
             rot = random_rotation(rng, reflect=trial % 2 == 1)
             t = rng.standard_normal(3)
@@ -80,7 +71,7 @@ class TestEgnn:
         worst = 0.0
         for trial in range(40):
             g = random_geometric_graph(10, 4, rng, irregular=trial >= 20)
-            params = egnn_params(4, 5, seed=100 + trial)
+            params = geo.egnn_params(4, 5, seed=100 + trial)
             f0, x0 = geo.egnn_layer(g, params)
             p = rng.permutation(10)
             permuted = geo.GeometricGraph(

@@ -27,7 +27,7 @@ from gdlkit.graph_nn import (
 )
 from gdlkit.rng import substream
 
-IDENTITY = MlpParams(weights=[], biases=[], activation="identity")
+IDENTITY = MlpParams(weights=[], biases=[])
 
 
 def random_graph(n, d, rng, p=0.35):
@@ -154,11 +154,9 @@ class TestGnnForward:
         params = gnn_params(3, 4, 2, flavour, seed=0)
         zeroed = type(params)(
             psi=MlpParams([np.zeros_like(w) for w in params.psi.weights],
-                          [np.zeros_like(b) for b in params.psi.biases],
-                          params.psi.activation),
+                          [np.zeros_like(b) for b in params.psi.biases]),
             phi=MlpParams([np.zeros_like(w) for w in params.phi.weights],
-                          [np.zeros_like(b) for b in params.phi.biases],
-                          params.phi.activation),
+                          [np.zeros_like(b) for b in params.phi.biases]),
             att_w=params.att_w, att_u=params.att_u, att_q=params.att_q)
         out = gnn_forward(g, flavour, zeroed)
         assert np.array_equal(out, np.zeros_like(out))
@@ -275,7 +273,7 @@ class TestNodeFirstTransforms:
     def spied(flavour, seed):
         params = gnn_params(5, 7, 6, flavour, seed=seed)
         psi = params.psi
-        return dataclasses.replace(params, psi=SpyMlp(psi.weights, psi.biases, psi.activation))
+        return dataclasses.replace(params, psi=SpyMlp(psi.weights, psi.biases))
 
     @pytest.mark.parametrize("flavour", ["conv", "attn", "mpnn"])
     def test_psi_rows_and_per_edge_agreement(self, flavour):
