@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_nn import MlpParams, adjacency_from_edges, edge_index, mlp_init, tree_sum
-from .mesh_core import half_edge_index
+from .mesh_core import _corners, half_edge_index
 from .numkit import nullspace_basis
 from .rng import substream
 
@@ -163,10 +163,9 @@ class GaugeFrameField:
 def _reference_neighbours(mesh):
     """Lowest one-ring neighbour per vertex (``n`` where there is none), read
     from the face corners: the frame's reference direction."""
-    f = mesh.faces
+    centre, first, second = _corners(mesh.faces)
     ref = np.full(mesh.n_vertices, mesh.n_vertices)
-    others = np.minimum(np.roll(f, -1, axis=1), np.roll(f, -2, axis=1))
-    np.minimum.at(ref, f.ravel(), others.ravel())  # 1-D indices take ufunc.at's fast path
+    np.minimum.at(ref, centre, np.minimum(first, second))  # 1-D indices: ufunc.at's fast path
     return ref
 
 
@@ -238,24 +237,22 @@ class Connection:
 def one_ring_log_map(mesh, frames):
     """Fill polar coordinates by unrolling each vertex star into the plane.
 
-    Corner angles are accumulated in ring order.  An interior star is
-    rescaled by ``2 pi / total angle`` so the flattened star closes up; an
-    open fan at a boundary vertex keeps its angles unscaled (de Haan et al.
-    2021), since stretching it to a full turn would put its first and last
-    spokes on one direction.  Angle zero is the lowest-index neighbour, the
-    reference direction :func:`tangent_frames` also picks, so ``frames`` is
-    not read; the parameter stays for existing callers.
+    Corner angles are accumulated in ring order, each times the flattening
+    factor whose one home is :func:`_star_corners`: ``2 pi / total angle`` in
+    an interior star, so the flattened star closes up, and 1 on an open fan
+    at a boundary vertex (de Haan et al. 2021), since stretching it to a
+    full turn would put its first and last spokes on one direction.  Angle
+    zero is the lowest-index neighbour, which :func:`tangent_frames` also
+    picks, so ``frames`` is not read; it stays because ``bench/workloads.py``
+    passes it positionally, and can go with ROADMAP item 9.
     """
-    v = mesh.vertices
     n = mesh.n_vertices
-    index, angle = _star_corners(mesh)
+    index, angle, _, scale = _star_corners(mesh)
     centre, step = index.centre, index.step
     # column k + 1 of a vertex's row holds its k-th corner in walk order, so
     # a cumulative sum along the row puts ring vertex k at column k
     walk = np.zeros((n, int(step.max(initial=0)) + 2))
-    walk[centre, step + 1] = angle
-    total = np.cumsum(walk, axis=1)[centre, -1]
-    walk[centre, step + 1] = angle * np.where(index.boundary[centre], 1.0, TWO_PI / total)
+    walk[centre, step + 1] = angle * scale
     polar = np.cumsum(walk, axis=1)
     # an open fan's ring ends with the second vertex of its last corner
     fan_end = index.boundary[centre] & (step == np.diff(index.indptr)[centre] - 1)
@@ -272,7 +269,7 @@ def one_ring_log_map(mesh, frames):
     return Connection((us, nbrs, indptr),
                       np.searchsorted(us * n + nbrs, nbrs * n + us),
                       (polar[us, steps] - offset[us]) % TWO_PI,
-                      np.linalg.norm(v[nbrs] - v[us], axis=1))
+                      np.linalg.norm(mesh.vertices[nbrs] - mesh.vertices[us], axis=1))
 
 
 def transport_angles(mesh, frames, conn):
@@ -281,9 +278,9 @@ def transport_angles(mesh, frames, conn):
     Unfolding the two faces sharing edge (u, v) into a plane, the direction
     u -> v seen at u, reversed, must coincide with v -> u seen at v:
     ``g_{v->u} = (theta_uv + pi) - theta_vu``.  Antisymmetry holds by
-    construction.  Only ``conn`` is read: its angle zero is the lowest-index
-    neighbour, the reference direction :func:`tangent_frames` also picks, so
-    ``mesh`` and ``frames`` stay for existing callers.
+    construction.  Only ``conn`` is read; ``mesh`` and ``frames`` stay
+    because ``bench/workloads.py`` passes them positionally, and can go with
+    ROADMAP item 9.
     """
     theta = conn.edge_theta
     return Connection(conn.edge_index, conn.reverse, theta, conn.edge_radius,
@@ -291,21 +288,25 @@ def transport_angles(mesh, frames, conn):
 
 
 def _star_corners(mesh):
-    """The half-edge index of ``mesh`` and the interior angle of each corner."""
+    """The half-edge index of ``mesh``, each corner's interior angle, each
+    vertex's angle sum, and each corner's flattening factor: ``2 pi`` over its
+    vertex's sum in an interior star, 1 on an open fan."""
     index = half_edge_index(mesh)
     v = mesh.vertices
     e1, e2 = v[index.first] - v[index.centre], v[index.second] - v[index.centre]
     cosang = np.einsum("ij,ij->i", e1, e2) / (
         np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))
-    return index, np.arccos(np.clip(cosang, -1.0, 1.0))
+    angle = np.arccos(np.clip(cosang, -1.0, 1.0))
+    total = np.bincount(index.centre, weights=angle, minlength=mesh.n_vertices)
+    scale = np.where(index.boundary[index.centre], 1.0, TWO_PI / total[index.centre])
+    return index, angle, total, scale
 
 
 def angle_defect(mesh):
     """Discrete Gaussian curvature per vertex: ``2 pi`` minus the interior
     angles at it.  On a closed mesh the defects sum to ``2 pi`` times the
     Euler characteristic (discrete Gauss-Bonnet)."""
-    index, angle = _star_corners(mesh)
-    return TWO_PI - np.bincount(index.centre, weights=angle, minlength=mesh.n_vertices)
+    return TWO_PI - _star_corners(mesh)[2]
 
 
 def enclosed_curvature(mesh):
@@ -313,19 +314,17 @@ def enclosed_curvature(mesh):
 
     The flattening rescale of :func:`one_ring_log_map` spreads an interior
     vertex's defect over its corners, each corner taking ``(2 pi / A_w - 1)``
-    times its angle (``A_w`` the total angle at its vertex ``w``); an open
-    fan is not rescaled, so its corners take no share.  The loop round ``u``
+    times its angle (``A_w`` the total angle at its vertex ``w``; the sum and
+    factor are read from :func:`_star_corners`, their one home); an open fan
+    is not rescaled, so its corners take no share.  The loop round ``u``
     encloses ``u``'s whole defect plus the share of every other corner of
     the faces at ``u``: a corner ``(w, b, c)`` lies inside the stars of
     ``b`` and ``c``.
     """
-    index, angle = _star_corners(mesh)
-    n = mesh.n_vertices
-    total = np.bincount(index.centre, weights=angle, minlength=n)
-    scale = np.where(index.boundary[index.centre], 1.0, TWO_PI / total[index.centre])
+    index, angle, total, scale = _star_corners(mesh)
     share = (scale - 1.0) * angle
-    inside = (np.bincount(index.first, weights=share, minlength=n)
-              + np.bincount(index.second, weights=share, minlength=n))
+    inside = (np.bincount(index.first, weights=share, minlength=total.size)
+              + np.bincount(index.second, weights=share, minlength=total.size))
     return (TWO_PI - total + inside) % TWO_PI
 
 
@@ -436,7 +435,9 @@ def kernel_constraint_basis(orders_in, orders_out, n_bins):
 def kernel_from_coefficients(basis_kernels, coefficients):
     """Linear combination of constraint-basis kernels."""
     coefficients = np.asarray(coefficients, dtype=float)
-    if len(basis_kernels) != coefficients.shape[0]:
+    if len(basis_kernels) == 0:
+        raise ValueError("an empty kernel basis has no combination")
+    if coefficients.shape != (len(basis_kernels),):
         raise ValueError("one coefficient per basis kernel required")
     first = basis_kernels[0]
     theta_self = sum(c * k.theta_self for c, k in zip(coefficients, basis_kernels))

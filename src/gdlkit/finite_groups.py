@@ -95,8 +95,10 @@ def _check_homomorphism(group, images, compose, equal, reason):
     By associativity the ``h`` with ``rho(g) rho(h) = rho(gh)`` for every ``g`` are
     closed under products (``rho(g) rho(ab) = rho(ga) rho(b) = rho(gab)``), so
     passing on S passes on every pair, in O(order |S|) compositions."""
-    for j in _generating_set(group.table, group.identity):
-        bad = ~equal(compose(images, images[j]), images[group.table[:, j]])
+    n = group.order
+    table = check_indices(group.table, n, f"table entries must be integers in range({n})")
+    for j in _generating_set(table, group.identity):
+        bad = ~equal(compose(images, images[j]), images[table[:, j]])
         if bad.any():
             raise ValueError(f"{reason} at ({int(np.argmax(bad))}, {j})")
 

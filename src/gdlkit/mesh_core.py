@@ -182,20 +182,15 @@ def cotan_laplacian(mesh):
     """
     import scipy.sparse as sp
     v = mesh.vertices
-    f = mesh.faces
     n = mesh.n_vertices
-    areas = mesh.face_areas()
+    centre, first, second = _corners(mesh.faces)
+    e1, e2 = v[first] - v[centre], v[second] - v[centre]
+    cross = np.linalg.norm(np.cross(e1, e2), axis=1)
+    areas = 0.5 * cross[::3]  # corner 0 spans b - a and c - a, as in face_areas
     _check_areas(areas, mesh.mean_edge_length())
     # half-cotangent of the angle at each corner, written against the edge
     # opposite it: the edge (first, second) of that corner
-    cots = np.empty((mesh.n_faces, 3))
-    for corner, (i, j, k) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1))):
-        e1 = v[f[:, j]] - v[f[:, i]]
-        e2 = v[f[:, k]] - v[f[:, i]]
-        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
-        cots[:, corner] = 0.5 * np.einsum("ij,ij->i", e1, e2) / cross
-    _, first, second = _corners(f)
-    w = -np.tile(cots.ravel(), 2)
+    w = -np.tile(0.5 * np.einsum("ij,ij->i", e1, e2) / cross, 2)
     off = sp.coo_matrix((w, (np.concatenate([first, second]), np.concatenate([second, first]))),
                         shape=(n, n)).tocsr()
     # The diagonal is the negated storage-order sum of the row's off-diagonal
@@ -206,7 +201,7 @@ def cotan_laplacian(mesh):
     stiffness = sp.csr_matrix((np.insert(off.data, row_ends, -(off @ np.ones(n))),
                                np.insert(off.indices, row_ends, np.arange(n)),
                                off.indptr + np.arange(n + 1)), shape=(n, n))
-    mass_diag = np.bincount(f.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=n)
+    mass_diag = np.bincount(centre, weights=np.repeat(areas / 3.0, 3), minlength=n)
     if np.any(mass_diag <= 0):
         raise ValueError("mesh has a vertex with no incident face")
     return LaplacianPair(stiffness=stiffness, mass=sp.diags(mass_diag).tocsr())

@@ -110,7 +110,7 @@ def generalized_sym_eig(l, m, k):
     eigenvalues nearest it are the smallest.  ARPACK cannot return all
     ``n`` pairs, so ``k == n`` solves ``A`` densely with :func:`sym_eig`.
     Either way the eigenvectors satisfy ``Phi^T M Phi = I``.  Raises
-    ValueError when ARPACK does not converge.
+    ValueError on a non-finite entry and when ARPACK does not converge.
     """
     import scipy.sparse as sp
     l = sp.csr_matrix(l)
@@ -120,9 +120,10 @@ def generalized_sym_eig(l, m, k):
         raise ValueError("operator and mass matrix must be square and same size")
     if not (0 < k <= n):
         raise ValueError(f"k={k} out of range for dimension {n}")
+    if not (np.all(np.isfinite(l.data)) and np.all(np.isfinite(m.data))):
+        raise ValueError("non-finite entries")
     diag = m.diagonal()
-    off = m - sp.diags(diag)
-    if off.nnz and np.max(np.abs(off.data)) > 0:
+    if np.any((m - sp.diags(diag)).data):  # all finite: only off-diagonal entries survive
         raise ValueError("mass matrix must be diagonal")
     if np.any(diag <= 0):
         raise ValueError("mass matrix entries must be strictly positive")

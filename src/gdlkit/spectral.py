@@ -177,8 +177,8 @@ def perturbation_stability_experiment(mesh, epsilon, kind, seed, degree=None):
     """
     if kind not in ("direct-highpass", "poly", "cayley"):
         raise ValueError(f"unknown filter kind {kind!r}")
-    if kind != "direct-highpass" and degree is None:
-        raise ValueError("polynomial kinds need a degree")
+    if kind != "direct-highpass" and (degree is None or degree < 1):
+        raise ValueError(f"polynomial kinds need a degree of at least 1, got {degree}")
     if epsilon > 0.02:
         raise ValueError("jitter amplitude capped at 0.02 for this experiment")
     perturbed = mesh_core.jitter_mesh(mesh, epsilon, seed)

@@ -415,7 +415,7 @@ class TestTransport:
             boundary = mesh_core.half_edge_index(mesh).boundary
             assert np.all(np.isnan(holonomy[boundary]))
             assert max_angle_gap(holonomy[~boundary],
-                                 geo.enclosed_curvature(mesh)[~boundary]) <= 1e-8
+                                 geo.enclosed_curvature(mesh)[~boundary]) <= 1e-12
 
     @pytest.mark.parametrize("k", range(5))
     def test_angle_defects_sum_to_four_pi(self, k):
@@ -585,6 +585,17 @@ class TestGaugeConv:
                               theta_neigh=np.zeros((4, 2, 2)))
         with pytest.raises(ValueError, match="constraint"):
             geo.gauge_conv(mesh, conn, bad, np.zeros((mesh.n_vertices, 2)))
+
+    def test_empty_kernel_basis_is_refused(self):
+        with pytest.raises(ValueError, match="^an empty kernel basis has no combination$"):
+            geo.kernel_from_coefficients([], [])
+
+    @pytest.mark.parametrize("coefficients", [1.0, np.ones((1, 2)), np.ones((2, 1)), np.ones(3)])
+    def test_one_coefficient_per_basis_kernel(self, coefficients):
+        basis = geo.kernel_constraint_basis((0,), (0,), 4)  # one self and one neighbour kernel
+        assert len(basis) == 2
+        with pytest.raises(ValueError, match="^one coefficient per basis kernel required$"):
+            geo.kernel_from_coefficients(basis, coefficients)
 
     def test_connection_of_another_mesh_rejected(self, sphere_connection):
         _, _, conn = sphere_connection

@@ -243,6 +243,19 @@ def test_an_action_row_that_is_no_permutation_is_refused():
         GroupAction(FiniteGroup(table=table), table)
 
 
+@pytest.mark.parametrize("make, data", [
+    (GroupAction, np.array([[0, 1], [1, 0]])),
+    (Representation, np.array([np.eye(2), np.eye(2)[::-1]])),
+])
+@pytest.mark.parametrize("entry", [5, -1])
+def test_table_entries_outside_the_order_are_refused(make, data, entry):
+    # the closure check of verify_group_axioms reports the same entry first
+    group = FiniteGroup(table=np.array([[0, entry], [1, 0]]))
+    assert not verify_group_axioms(group).closure
+    with pytest.raises(ValueError, match=r"^table entries must be integers in range\(2\)$"):
+        make(group, data)
+
+
 def test_action_accepts_integral_floats():
     group, action = group_from_generators(4, [(np.arange(4) + 1) % 4])
     accepted = GroupAction(group, action.perms.astype(float))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,22 @@ class TestCotanLaplacian:
         moved = cotan_laplacian(TriMesh(vertices=mesh.vertices @ q.T + t, faces=mesh.faces))
         diff = np.max(np.abs((pair.stiffness - moved.stiffness).toarray()))
         assert diff <= 1e-10
+
+    def test_assembly_bytes_are_pinned(self):
+        # pure numpy with no BLAS call, so the bytes do not depend on the thread count
+        pair = cotan_laplacian(jitter_mesh(icosphere(3), 0.05, seed=3))
+        digest = hashlib.sha256()
+        for part in (pair.stiffness.data, pair.stiffness.indices, pair.stiffness.indptr,
+                     pair.mass.diagonal()):
+            digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == (
+            "0ea28f1b3d47aa5f77e26f447cd9151b5ca24aaa33bb9f8d5d5b2c01c0d65228")
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_mass_holds_thirds_of_the_face_areas(self, k):
+        mesh = jitter_mesh(icosphere(k), 0.05, seed=3)
+        thirds = np.bincount(mesh.faces.ravel(), weights=np.repeat(mesh.face_areas() / 3.0, 3))
+        assert np.array_equal(cotan_laplacian(mesh).mass.diagonal(), thirds)
 
     def test_degenerate_face_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)

@@ -114,6 +114,22 @@ def test_generalized_rejects_bad_inputs():
         generalized_sym_eig(sp.csr_matrix(asym), sp.identity(6, format="csr"), 2)
 
 
+@pytest.mark.parametrize("k", [3, 12])
+@pytest.mark.parametrize("part, value", [
+    ("stiffness", np.nan),
+    ("mass", np.nan),
+    ("mass", np.inf),
+])
+def test_generalized_refuses_non_finite_entries(part, value, k):
+    # NaN passes the symmetry and positivity checks (every comparison is
+    # False), and an infinite mass scales its row and column to zero
+    pair = mesh_core.cotan_laplacian(mesh_core.icosahedron())
+    l, m = pair.stiffness.copy(), pair.mass.copy()
+    (l if part == "stiffness" else m).data[0] = value
+    with pytest.raises(ValueError, match="^non-finite entries$"):
+        generalized_sym_eig(l, m, k)
+
+
 def assert_matches_dense_oracle(pair, system, k):
     """Compare with the dense generalized solve eigenvalue by eigenvalue and,
     since degenerate eigenvectors are fixed only up to a rotation, each

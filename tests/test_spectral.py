@@ -236,6 +236,15 @@ class TestStabilityExperiment:
         direct = perturbation_stability_experiment(mesh, 0.005, "direct-highpass", seed=42)
         assert direct["discrepancy"] >= 0.5
 
+    @pytest.mark.parametrize("kind", ["poly", "cayley"])
+    def test_degree_zero_is_refused(self, kind):
+        # a degree-0 filter is a multiple of the identity: stable on any mesh,
+        # so its zero discrepancy would pass without testing a filter
+        with pytest.raises(ValueError, match="^polynomial kinds need a degree of at least 1, "
+                                             "got 0$"):
+            perturbation_stability_experiment(mesh_core.icosphere(1), 0.005, kind, seed=1,
+                                              degree=0)
+
     def test_epsilon_cap(self):
         with pytest.raises(ValueError):
             perturbation_stability_experiment(mesh_core.icosphere(1), 0.05,
