@@ -163,10 +163,11 @@ def _cmd_group_table(args, seed):
 
 
 def _random_edges(n, p, rng):
-    """Each node pair ``u < v``, in row-major order, kept with probability ``p``."""
+    """``(E, 2)`` array of the node pairs ``u < v``, in row-major order, each
+    kept with probability ``p``."""
     u, v = np.triu_indices(n, 1)
     keep = rng.uniform(size=u.size) < p
-    return list(zip(u[keep].tolist(), v[keep].tolist()))
+    return np.stack([u[keep], v[keep]], axis=1)
 
 
 def _random_graph(n, d, rng):
@@ -269,7 +270,7 @@ def _cmd_egnn_equivariance(args, seed):
         permuted = geo.GeometricGraph(
             positions=_permute_rows(g.positions, p),
             features=_permute_rows(g.features, p),
-            edges=p[np.asarray(g.edges, dtype=int).reshape(-1, 2)])
+            edges=p[g.edges])
         f2, x2 = geo.egnn_layer(permuted, params)
         worst_perm = max(worst_perm,
                          float(np.max(np.abs(f2 - _permute_rows(f0, p)))),

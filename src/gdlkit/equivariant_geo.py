@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_nn import MlpParams, adjacency_from_edges, edge_index, mlp_init, tree_sum
+from .graph_nn import MlpParams, _undirected_index, mlp_init, tree_sum
 from .mesh_core import _corners, half_edge_index
 from .numkit import nullspace_basis
 from .rng import substream
@@ -59,12 +59,13 @@ FLOATS_CAP = BINS_CAP**2 * 5 * 5
 
 @dataclass(frozen=True)
 class GeometricGraph:
-    """3-D node positions, node features and undirected edges; the attribute
-    ``edge_index`` is their :mod:`gdlkit.graph_nn` edge index."""
+    """3-D node positions, node features and undirected edges without
+    self-loops, kept as an ``(E, 2)`` int array; the attribute ``edge_index``
+    is their :mod:`gdlkit.graph_nn` edge index."""
 
     positions: np.ndarray
     features: np.ndarray
-    edges: list
+    edges: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
@@ -73,10 +74,13 @@ class GeometricGraph:
             raise ValueError("positions must be (n, 3) with matching feature rows")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(f))):
             raise ValueError("non-finite inputs")
+        edges, (index, _) = _undirected_index(p.shape[0], self.edges)
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise ValueError("self-loops present but not flagged")
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "features", f)
-        object.__setattr__(self, "edge_index",
-                           edge_index(adjacency_from_edges(p.shape[0], self.edges)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_index", index)
 
     @property
     def n(self):
@@ -134,7 +138,7 @@ def e3_transform(g, rotation, translation):
     if np.max(np.abs(rotation.T @ rotation - np.eye(3))) > 1e-10:
         raise ValueError("rotation matrix is not orthogonal")
     return GeometricGraph(positions=g.positions @ rotation.T + translation,
-                          features=g.features.copy(), edges=list(g.edges))
+                          features=g.features.copy(), edges=g.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,8 @@ def _check_homomorphism(group, images, compose, equal, reason):
     closed under products (``rho(g) rho(ab) = rho(ga) rho(b) = rho(gab)``), so
     passing on S passes on every pair, in O(order |S|) compositions."""
     n = group.order
+    if group.table.shape != (n, n):
+        raise ValueError(f"table of shape {group.table.shape}, expected (order, order)")
     table = check_indices(group.table, n, f"table entries must be integers in range({n})")
     for j in _generating_set(table, group.identity):
         bad = ~equal(compose(images, images[j]), images[table[:, j]])

@@ -5,7 +5,13 @@ optional positional encodings, and Weisfeiler-Lehman colour refinement.
 
 This module owns the adjacency format: the canonical CSR index
 ``(receivers, senders, indptr)``, edges sorted by receiver then sender, the
-edges into ``u`` at ``indptr[u]:indptr[u + 1]``.  A transform that reads one
+edges into ``u`` at ``indptr[u]:indptr[u + 1]``.  :func:`_canonical_index` is
+the only place an edge list becomes that index: one numpy sort of the keys
+``receiver * n + sender``, duplicates collapsed.  Edge lists
+(:func:`adjacency_from_edges`, the geometric graphs of
+:mod:`gdlkit.equivariant_geo`, the transformer's complete graph), the
+relabelling of :func:`permute_graph` and the symmetry check of :class:`Graph`
+all go through it; no COO matrix is built.  A transform that reads one
 endpoint only (the convolutional and attentional sender transform ``psi``,
 the two attention projections) runs once per node and is gathered per edge;
 one that reads both endpoints (the message-passing ``psi`` on ``x_u || x_v``,
@@ -63,15 +69,51 @@ def mlp_init(widths, rng):
     return MlpParams(weights=weights, biases=biases)
 
 
+def _canonical_index(n, rows, cols, data=None):
+    """The one place entries become the edge index: ``(receivers, senders,
+    indptr)`` of the entries ``(rows[i], cols[i])`` on ``n`` nodes, from one
+    sort of the keys ``rows * n + cols``, and their data in that order.
+
+    Without ``data`` the entries are binary and duplicates collapse to one
+    edge of data 1.  With ``data`` the entries must be distinct, as a
+    relabelled canonical index is, and are only sorted.
+    """
+    key = np.asarray(rows, dtype=np.int64) * n + cols
+    if data is None:
+        key = np.sort(key)
+        keep = np.ones(key.shape, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+        data = np.ones(key.shape[0])
+    else:
+        order = np.argsort(key)
+        key, data = key[order], data[order]
+    receivers = key // n
+    indptr = np.zeros(n + 1, dtype=int)
+    np.cumsum(np.bincount(receivers, minlength=n), out=indptr[1:])
+    return (receivers, key - receivers * n, indptr), data
+
+
+def _undirected_index(n, edges):
+    """``edges`` checked as an ``(E, 2)`` int array of node pairs in
+    ``range(n)``, and the canonical index, with data, of both orientations
+    of every pair."""
+    pairs = np.asarray(edges)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be node pairs of shape (E, 2), got shape {pairs.shape}")
+    pairs = check_indices(pairs, n, f"edge endpoints must be integers in range({n})")
+    both = np.concatenate([pairs, pairs[:, ::-1]])
+    return pairs, _canonical_index(n, both[:, 0], both[:, 1])
+
+
 def adjacency_from_edges(n, edges):
     """Binary CSR adjacency of an undirected edge list in canonical form:
     indices sorted, duplicate edges collapsed, each edge stored both ways."""
     import scipy.sparse as sp
-    pairs = np.asarray(edges, dtype=int).reshape(-1, 2)
-    pairs = np.concatenate([pairs, pairs[:, ::-1]])
-    adj = sp.csr_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    adj.data[:] = 1.0  # collapse duplicate edges
-    return adj
+    _, ((_, senders, indptr), data) = _undirected_index(n, edges)
+    return sp.csr_matrix((data, senders, indptr), shape=(n, n))
 
 
 def edge_index(adjacency):
@@ -102,9 +144,14 @@ class Graph:
         n = self.features.shape[0]
         if adj.shape != (n, n):
             raise ValueError("adjacency must be square and match the feature rows")
-        if self.undirected and (adj != adj.T).nnz != 0:
-            raise ValueError("undirected graph requires symmetric adjacency")
-        if not self.allow_self_loops and adj.diagonal().any():
+        receivers, senders, _ = self.edge_index
+        if self.undirected:
+            # the transposed entries, sorted, must be the entries themselves
+            (rt, st, _), data = _canonical_index(n, senders, receivers, adj.data)
+            if not (np.array_equal(rt, receivers) and np.array_equal(st, senders)
+                    and np.array_equal(data, adj.data)):
+                raise ValueError("undirected graph requires symmetric adjacency")
+        if not self.allow_self_loops and np.any(receivers == senders):
             raise ValueError("self-loops present but not flagged")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite node features")
@@ -149,7 +196,10 @@ def permute_graph(g, p):
     import scipy.sparse as sp
     p = check_permutation(p, g.n)
     receivers, senders, _ = g.edge_index
-    adj = sp.csr_matrix((g.adjacency.data, (p[receivers], p[senders])), shape=(g.n, g.n))
+    # a bijection of a canonical index leaves no duplicates: one sort
+    (_, senders, indptr), data = _canonical_index(g.n, p[receivers], p[senders],
+                                                  g.adjacency.data)
+    adj = sp.csr_matrix((data, senders, indptr), shape=(g.n, g.n))
     feats = np.empty_like(g.features)
     feats[p] = g.features
     h = Graph(adjacency=adj, features=feats, undirected=False, allow_self_loops=g.allow_self_loops)
@@ -293,12 +343,11 @@ def transformer_forward(x, params, use_positional=False):
     deliberately broken; without them the layer is a permutation-
     equivariant attentional GNN.
     """
-    import scipy.sparse as sp
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if use_positional:
         x = np.concatenate([x, positional_encoding(n, 2 * ((x.shape[1] + 1) // 2))], axis=1)
-    adj = sp.csr_matrix(np.ones((n, n)))
+    adj = adjacency_from_edges(n, np.stack(np.triu_indices(n), axis=1))  # pairs u <= v
     g = Graph(adjacency=adj, features=x, undirected=True, allow_self_loops=True)
     return gnn_forward(g, "attn", params)
 

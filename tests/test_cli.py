@@ -451,7 +451,8 @@ def loaded(prefix):
 
 assert not loaded("scipy"), loaded("scipy")
 for argv in (["group", "table", "--name", "Oh"], ["fourier-instability"],
-             ["rnn", "shift-equivariance"], ["lstm", "chrono"], ["gauge", "equivariance"]):
+             ["rnn", "shift-equivariance"], ["lstm", "chrono"], ["gauge", "equivariance"],
+             ["egnn", "equivariance", "--n", "6", "--trials", "2"]):
     assert dispatch(argv)[0] == 0, argv
     assert not loaded("scipy.sparse"), (argv, loaded("scipy.sparse"))
 for argv in (["mesh", "spectrum", "--mesh", "icosphere:1", "--k", "8"],
@@ -510,6 +511,7 @@ def test_random_graphs_match_per_pair_draws(n):
 
     geo = _random_geometric_graph(n, 5, rng)
     positions, features = oracle.standard_normal((n, 3)), oracle.standard_normal((n, 5))
-    assert geo.edges == _pairs_by_loop(n, 0.4, oracle)
+    edges = np.array(_pairs_by_loop(n, 0.4, oracle), dtype=int).reshape(-1, 2)
+    assert np.array_equal(geo.edges, edges)
     assert np.array_equal(geo.positions, positions) and np.array_equal(geo.features, features)
     assert rng.uniform() == oracle.uniform()

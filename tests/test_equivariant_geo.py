@@ -17,9 +17,9 @@ def angle_close(a, b, tol):
 def random_geometric_graph(n, d, rng, p=0.4, irregular=False):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < p]
     if irregular:
-        # an isolated last node, a self-loop and a duplicate edge stored reversed
+        # an isolated last node and a duplicate edge stored reversed
         edges = [e for e in edges if n - 1 not in e]
-        edges += [(0, 0), edges[0][::-1]]
+        edges += [edges[0][::-1]]
     return geo.GeometricGraph(positions=rng.standard_normal((n, 3)),
                               features=rng.standard_normal((n, d)), edges=edges)
 
@@ -88,6 +88,27 @@ class TestEgnn:
         g = random_geometric_graph(4, 2, np.random.default_rng(4))
         with pytest.raises(ValueError, match="orthogonal"):
             geo.e3_transform(g, np.diag([2.0, 1.0, 1.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("edges, reason", [
+        ([(0, 2.7)], r"^edge endpoints must be integers in range\(3\)$"),
+        ([(0, -1)], r"^edge endpoints must be integers in range\(3\)$"),
+        ([(0, 3)], r"^edge endpoints must be integers in range\(3\)$"),
+        ([(0, 1, 2)], r"^edges must be node pairs of shape \(E, 2\), got shape \(1, 3\)$"),
+        ([(0, 1), (1, 1)], r"^self-loops present but not flagged$"),
+    ])
+    def test_bad_edges_are_refused(self, edges, reason):
+        with pytest.raises(ValueError, match=reason):
+            geo.GeometricGraph(positions=np.zeros((3, 3)), features=np.zeros((3, 1)), edges=edges)
+
+    def test_edges_are_kept_as_checked_pairs(self):
+        g = geo.GeometricGraph(positions=np.zeros((3, 3)), features=np.zeros((3, 1)),
+                               edges=[(2.0, 0.0), (0.0, 2.0)])
+        assert g.edges.dtype.kind == "i" and np.array_equal(g.edges, [[2, 0], [0, 2]])
+        moved = geo.e3_transform(g, np.eye(3), np.ones(3))
+        assert np.array_equal(moved.edges, g.edges)
+        for ours, reference in zip(moved.edge_index, g.edge_index):
+            assert np.array_equal(ours, reference)
+        assert [(int(a), int(b)) for a, b in g.edges] == [(2, 0), (0, 2)]
 
     def test_translation_preserves_distances(self):
         rng = np.random.default_rng(5)

@@ -256,6 +256,16 @@ def test_table_entries_outside_the_order_are_refused(make, data, entry):
         make(group, data)
 
 
+@pytest.mark.parametrize("make, data", [
+    (GroupAction, np.array([[0, 1], [1, 0]])),
+    (Representation, np.array([np.eye(2), np.eye(2)[::-1]])),
+])
+def test_a_table_that_is_not_square_is_refused(make, data):
+    group = FiniteGroup(table=np.array([[0, 1, 1], [1, 0, 0]]))
+    with pytest.raises(ValueError, match=r"^table of shape \(2, 3\), expected \(order, order\)$"):
+        make(group, data)
+
+
 def test_action_accepts_integral_floats():
     group, action = group_from_generators(4, [(np.arange(4) + 1) % 4])
     accepted = GroupAction(group, action.perms.astype(float))

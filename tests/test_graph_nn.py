@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from gdlkit.graph_nn import (
     Graph,
     MlpParams,
+    _canonical_index,
     _refine_once,
+    _undirected_index,
     check_permutation,
     conv_coefficient,
     deepsets_forward,
@@ -99,6 +101,108 @@ class TestPermuteGraph:
     def test_self_loop_flag_enforced(self):
         with pytest.raises(ValueError, match="self-loop"):
             graph_from_edges(2, [(0, 0)], np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_relabelled_csr_is_the_scipy_relabelling(self, undirected):
+        # weighted entries, so that the data must follow the edges' new order
+        rng = np.random.default_rng(24)
+        a = sp.random(40, 40, density=0.15, random_state=24, format="csr")
+        a.setdiag(0.0)
+        if undirected:
+            a = a + a.T
+        g = Graph(adjacency=a, features=rng.standard_normal((40, 2)), undirected=undirected)
+        p = rng.permutation(40)
+        h = permute_graph(g, p)
+        coo = g.adjacency.tocoo()
+        oracle = sp.csr_matrix((coo.data, (p[coo.row], p[coo.col])), shape=(40, 40))
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(h.adjacency, part), getattr(oracle, part)), part
+        assert np.array_equal(h.edge_index[2], oracle.indptr)
+        assert h.undirected == undirected
+
+
+def canonical_oracle(n, rows, cols):
+    """The index of scipy's COO -> CSR conversion, duplicates summed."""
+    csr = sp.coo_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n)).tocsr()
+    csr.sum_duplicates()
+    return np.repeat(np.arange(n), np.diff(csr.indptr)), csr.indices, csr.indptr
+
+
+# small node counts, so that duplicates, both orientations, self-pairs and
+# isolated nodes all come up; the empty list too
+EDGE_LISTS = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25)))
+
+
+@given(EDGE_LISTS)
+@settings(max_examples=300, deadline=None)
+def test_canonical_index_is_the_scipy_csr_index(case):
+    n, entries = case
+    rows, cols = np.array(entries, dtype=int).reshape(-1, 2).T
+    index, data = _canonical_index(n, rows, cols)
+    for ours, reference in zip(index, canonical_oracle(n, rows, cols)):
+        assert np.array_equal(ours, reference)
+    assert np.array_equal(data, np.ones(index[0].shape[0]))
+
+    pairs, (index, _) = _undirected_index(n, entries)
+    assert np.array_equal(pairs, np.array(entries, dtype=int).reshape(-1, 2))
+    both = np.concatenate([pairs, pairs[:, ::-1]])
+    for ours, reference in zip(index, canonical_oracle(n, both[:, 0], both[:, 1])):
+        assert np.array_equal(ours, reference)
+
+
+@given(EDGE_LISTS.map(lambda case: (case[0], sorted(set(case[1])))))
+@settings(max_examples=200, deadline=None)
+def test_distinct_entries_carry_their_data(case):
+    n, entries = case
+    rows, cols = np.array(entries, dtype=int).reshape(-1, 2).T
+    values = np.arange(1.0, rows.shape[0] + 1.0)[::-1]
+    (receivers, senders, indptr), data = _canonical_index(n, rows[::-1], cols[::-1], values)
+    csr = sp.csr_matrix((values, (rows[::-1], cols[::-1])), shape=(n, n))
+    assert np.array_equal(senders, csr.indices) and np.array_equal(indptr, csr.indptr)
+    assert np.array_equal(data, csr.data)
+
+
+class TestGraphChecks:
+    def test_value_asymmetry_is_refused(self):
+        adj = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ValueError, match="^undirected graph requires symmetric adjacency$"):
+            Graph(adjacency=adj, features=np.zeros((2, 1)))
+        assert not Graph(adjacency=adj, features=np.zeros((2, 1)), undirected=False).undirected
+
+    def test_pattern_asymmetry_is_refused_but_stored_zeros_are_not_edges(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(adjacency=sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                  features=np.zeros((2, 1)))
+        stored_zero = sp.csr_matrix((np.array([1.0, 1.0, 0.0]), np.array([1, 0, 2]),
+                                     np.array([0, 1, 3, 3])), shape=(3, 3))
+        g = Graph(adjacency=stored_zero, features=np.zeros((3, 1)))
+        assert g.adjacency.nnz == 2 and np.array_equal(g.edge_index[1], [1, 0])
+
+    def test_unflagged_self_loops_are_refused(self):
+        adj = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="^self-loops present but not flagged$"):
+            Graph(adjacency=adj, features=np.zeros((2, 1)))
+        g = Graph(adjacency=adj, features=np.zeros((2, 1)), allow_self_loops=True)
+        assert np.array_equal(g.edge_index[0], [0, 0, 1])
+
+    @pytest.mark.parametrize("edges, reason", [
+        ([(0, 1.5)], r"^edge endpoints must be integers in range\(3\)$"),
+        ([(0, -1)], r"^edge endpoints must be integers in range\(3\)$"),
+        ([(0, 3)], r"^edge endpoints must be integers in range\(3\)$"),
+        ([(0, 1, 2)], r"^edges must be node pairs of shape \(E, 2\), got shape \(1, 3\)$"),
+    ])
+    def test_bad_edges_are_refused(self, edges, reason):
+        with pytest.raises(ValueError, match=reason):
+            graph_from_edges(3, edges, np.zeros((3, 1)))
+
+    def test_edge_arrays_and_integral_floats_are_accepted(self):
+        listed = graph_from_edges(3, [(0, 1), (2, 1)], np.zeros((3, 1)))
+        for edges in (np.array([[0, 1], [2, 1]]), [(0.0, 1.0), (2.0, 1.0)], np.array([[1, 2], [0, 1]])):
+            g = graph_from_edges(3, edges, np.zeros((3, 1)))
+            for ours, reference in zip(g.edge_index, listed.edge_index):
+                assert np.array_equal(ours, reference)
+        assert graph_from_edges(3, [], np.zeros((3, 1))).adjacency.nnz == 0
 
 
 class TestDeepSets:
@@ -313,6 +417,13 @@ class TestNodeFirstTransforms:
 
 
 class TestTransformer:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_complete_graph_is_the_dense_ones_adjacency(self, n):
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        params = gnn_params(3, 5, 4, "attn", seed=n)
+        dense = Graph(adjacency=sp.csr_matrix(np.ones((n, n))), features=x, allow_self_loops=True)
+        assert np.array_equal(transformer_forward(x, params), gnn_forward(dense, "attn", params))
+
     def test_single_node_attends_to_itself(self):
         x = np.array([[0.4, -0.2]])
         params = gnn_params(2, 3, 2, "attn", seed=11)
