@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_nn import MlpParams, _undirected_index, mlp_init, tree_sum
+from .graph_nn import MlpParams, _canonical_index, _undirected_index, mlp_init, tree_sum
 from .mesh_core import _corners, half_edge_index
 from .numkit import nullspace_basis
 from .rng import substream
@@ -263,15 +263,13 @@ def one_ring_log_map(mesh, frames):
     us = np.concatenate([centre, centre[fan_end]])
     nbrs = np.concatenate([index.first, index.second[fan_end]])
     steps = np.concatenate([step, step[fan_end] + 1])
-    order = np.argsort(us * n + nbrs)
-    us, nbrs, steps = us[order], nbrs[order], steps[order]
-    indptr = np.searchsorted(us, np.arange(n + 1))
+    (us, nbrs, indptr), steps = _canonical_index(n, us, nbrs, steps)
     # the first edge of each vertex's segment goes to its lowest neighbour
     ref = indptr[:-1][indptr[:-1] < indptr[1:]]
     offset = np.zeros(n)
     offset[us[ref]] = polar[us[ref], steps[ref]]
-    return Connection((us, nbrs, indptr),
-                      np.searchsorted(us * n + nbrs, nbrs * n + us),
+    # the spokes are symmetric, so the transposed sort lists each edge's reverse
+    return Connection((us, nbrs, indptr), _canonical_index(n, nbrs, us, np.arange(us.size))[1],
                       (polar[us, steps] - offset[us]) % TWO_PI,
                       np.linalg.norm(mesh.vertices[nbrs] - mesh.vertices[us], axis=1))
 

@@ -10,13 +10,14 @@ the only place an edge list becomes that index: one numpy sort of the keys
 ``receiver * n + sender``, duplicates collapsed.  Edge lists
 (:func:`adjacency_from_edges`, the geometric graphs of
 :mod:`gdlkit.equivariant_geo`, the transformer's complete graph), the
-relabelling of :func:`permute_graph` and the symmetry check of :class:`Graph`
-all go through it; no COO matrix is built.  A transform that reads one
-endpoint only (the convolutional and attentional sender transform ``psi``,
-the two attention projections) runs once per node and is gathered per edge;
-one that reads both endpoints (the message-passing ``psi`` on ``x_u || x_v``,
-the attention score) runs per edge.  Messages are summed with
-:func:`tree_sum` in that fixed order, so permuted inputs agree to near
+relabelling of :func:`permute_graph`, the symmetry check of :class:`Graph`,
+the mesh edges and half-edge index of :mod:`gdlkit.mesh_core` and the gauge
+spokes all go through it; no COO matrix is built.  A transform that reads
+one endpoint only (the convolutional and attentional sender transform
+``psi``, the two attention projections) runs once per node and is gathered
+per edge; one that reads both endpoints (the message-passing ``psi`` on
+``x_u || x_v``, the attention score) runs per edge.  Messages are summed
+with :func:`tree_sum` in that fixed order, so permuted inputs agree to near
 machine precision.
 """
 
@@ -75,8 +76,8 @@ def _canonical_index(n, rows, cols, data=None):
     sort of the keys ``rows * n + cols``, and their data in that order.
 
     Without ``data`` the entries are binary and duplicates collapse to one
-    edge of data 1.  With ``data`` the entries must be distinct, as a
-    relabelled canonical index is, and are only sorted.
+    edge of data 1.  With ``data`` (``np.arange`` for the sort order) the
+    entries are only sorted: repeated entries stay, on adjacent rows.
     """
     key = np.asarray(rows, dtype=np.int64) * n + cols
     if data is None:
@@ -125,9 +126,10 @@ def edge_index(adjacency):
 
 @dataclass(frozen=True)
 class Graph:
-    """Node features plus sparse binary adjacency, kept synchronised.
-    ``adjacency`` is a canonical copy of the caller's matrix and the
-    attribute ``edge_index`` its view, the one way layers read edges."""
+    """Node features plus sparse adjacency, kept synchronised.  ``adjacency``
+    is a canonical copy of the caller's matrix, whose finite positive weights
+    are kept as given and read by no layer, and the attribute ``edge_index``
+    its view, the one way layers read edges."""
 
     adjacency: "scipy.sparse.csr_matrix"
     features: np.ndarray
@@ -145,6 +147,9 @@ class Graph:
         if adj.shape != (n, n):
             raise ValueError("adjacency must be square and match the feature rows")
         receivers, senders, _ = self.edge_index
+        bad = adj.data[~(np.isfinite(adj.data) & (adj.data > 0))]
+        if bad.size:
+            raise ValueError(f"adjacency entries must be finite and positive, got {bad[0]}")
         if self.undirected:
             # the transposed entries, sorted, must be the entries themselves
             (rt, st, _), data = _canonical_index(n, senders, receivers, adj.data)

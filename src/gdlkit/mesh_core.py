@@ -4,8 +4,8 @@ vertex jitter, and OFF/OBJ-subset file IO.
 
 This module owns the mesh connectivity format, the half-edge index of
 :func:`half_edge_index`: one row ``(centre u, first b, second c)`` per face
-corner, sorted by the key ``u * n + b`` (the receiver-major order of
-:func:`gdlkit.graph_nn.edge_index`), the corners at ``u`` at
+corner, sorted by :func:`gdlkit.graph_nn._canonical_index` (as the mesh
+edges are) on the key ``u * n + b``, the corners at ``u`` at
 ``indptr[u]:indptr[u + 1]``, each with its step along the counter-clockwise
 walk round ``u``.  Building the index is the manifold check; there is no
 separate validation step.
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph_nn import _canonical_index, check_indices
 from .rng import substream
 
 AREA_FLOOR = 1e-12  # triangles below AREA_FLOOR * (mean edge length)^2 are degenerate
@@ -35,13 +36,13 @@ class TriMesh:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        f = np.asarray(self.faces, dtype=int)
+        f = np.asarray(self.faces)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError("vertices must be (n, 3)")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError("faces must be (m, 3)")
-        if f.size and (f.min() < 0 or f.max() >= v.shape[0]):
-            raise ValueError("face index out of range")
+        f = check_indices(f, v.shape[0],
+                          f"face index out of range: faces must be integers in range({v.shape[0]})")
         if np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2]) or np.any(f[:, 0] == f[:, 2]):
             raise ValueError("degenerate face with repeated vertex")
         if not np.all(np.isfinite(v)):
@@ -59,10 +60,10 @@ class TriMesh:
 
     def edges(self):
         """Sorted unique undirected edges as an (e, 2) array."""
-        n = self.n_vertices
         centre, first, _ = _corners(self.faces)
-        key = np.unique(np.minimum(centre, first) * n + np.maximum(centre, first))
-        return np.stack([key // n, key % n], axis=1)
+        (low, high, _), _ = _canonical_index(self.n_vertices, np.minimum(centre, first),
+                                             np.maximum(centre, first))
+        return np.stack([low, high], axis=1)
 
     def face_areas(self):
         v = self.vertices
@@ -111,15 +112,14 @@ def half_edge_index(mesh):
     """
     n = mesh.n_vertices
     centre, first, second = _corners(mesh.faces)
-    key = centre * n + first
-    order = np.argsort(key)
-    centre, first, second, key = centre[order], first[order], second[order], key[order]
+    # data mode only sorts, so a repeated directed edge lands on adjacent rows
+    (centre, first, indptr), order = _canonical_index(n, centre, first, np.arange(centre.size))
+    second, key = second[order], centre * n + first
     repeated = np.flatnonzero(key[1:] == key[:-1])
     if repeated.size:
         u, b = centre[repeated[0]], first[repeated[0]]
         raise ValueError(f"orientation conflict on directed edge ({u}, {b}): "
                          "a flipped face or an edge with more than two faces")
-    indptr = np.searchsorted(centre, np.arange(n + 1))
     target = centre * n + second
     succ = np.minimum(np.searchsorted(key, target), key.size - 1)
     succ[key[succ] != target] = -1

@@ -373,6 +373,69 @@ class TestConnectionLayout:
             conn.theta[(0, 1)] = 0.0
 
 
+def own_edges(mesh):
+    """The mesh edges as ``np.unique`` of the undirected edge keys gave them."""
+    n = mesh.n_vertices
+    centre, first, _ = mesh_core._corners(mesh.faces)
+    key = np.unique(np.minimum(centre, first) * n + np.maximum(centre, first))
+    return np.stack([key // n, key % n], axis=1)
+
+
+def own_key_sorts(mesh):
+    """The half-edge index and connection index as each once sorted its own
+    keys: an ``argsort`` with a ``searchsorted`` indptr, and a
+    ``searchsorted`` reverse lookup.  Steps, fans and spokes come from
+    :func:`loop_rings`."""
+    n = mesh.n_vertices
+    rings, boundary = loop_rings(mesh)
+    centre, first, second = mesh_core._corners(mesh.faces)
+    order = np.argsort(centre * n + first)
+    centre, first, second = centre[order], first[order], second[order]
+    half = mesh_core.HalfEdgeIndex(
+        centre=centre, first=first, second=second,
+        indptr=np.searchsorted(centre, np.arange(n + 1)),
+        step=np.array([rings[u].index(b) for u, b in zip(centre, first)]),
+        boundary=np.array(boundary))
+    us = np.repeat(np.arange(n), [len(ring) for ring in rings])
+    nbrs = np.concatenate(rings)
+    order = np.argsort(us * n + nbrs)
+    us, nbrs = us[order], nbrs[order]
+    spokes = (us, nbrs, np.searchsorted(us, np.arange(n + 1)))
+    return half, spokes, np.searchsorted(us * n + nbrs, nbrs * n + us)
+
+
+def assert_bitwise_equal(ours, reference):
+    assert ours.dtype == reference.dtype and ours.shape == reference.shape
+    assert ours.tobytes() == reference.tobytes()
+
+
+class TestOneCanonicaliser:
+    """Mesh edges, half-edge rows and gauge spokes come from
+    ``graph_nn._canonical_index`` and equal, bit for bit, what each site's
+    own sort of its keys gave."""
+
+    MESHES = [mesh_core.icosphere(3), mesh_core.jitter_mesh(mesh_core.icosphere(3), 0.05, seed=5),
+              open_cap(mesh_core.icosphere(3), -0.2), flat_hexagon_patch()]
+    IDS = ["icosphere3", "jittered-icosphere3", "open-cap", "hexagon-fan"]
+
+    NO_FACES = mesh_core.TriMesh(vertices=np.zeros((3, 3)), faces=np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("mesh", MESHES + [NO_FACES], ids=IDS + ["no-faces"])
+    def test_edges_equal_the_unique_keys(self, mesh):
+        assert_bitwise_equal(mesh.edges(), own_edges(mesh))
+
+    @pytest.mark.parametrize("mesh", MESHES, ids=IDS)
+    def test_indices_equal_the_own_key_sorts(self, mesh):
+        half, spokes, reverse = own_key_sorts(mesh)
+        index = mesh_core.half_edge_index(mesh)
+        for field in ("centre", "first", "second", "indptr", "step", "boundary"):
+            assert_bitwise_equal(getattr(index, field), getattr(half, field))
+        conn = connection_of(mesh)
+        for ours, reference in zip(conn.edge_index, spokes):
+            assert_bitwise_equal(ours, reference)
+        assert_bitwise_equal(conn.reverse, reverse)
+
+
 class TestTransport:
     def test_flat_mesh_aligned_frames_zero_transport(self):
         # all frames on a flat patch share the plane; transports reduce to

@@ -163,7 +163,34 @@ def test_distinct_entries_carry_their_data(case):
     assert np.array_equal(data, csr.data)
 
 
+@given(EDGE_LISTS)
+@settings(max_examples=200, deadline=None)
+def test_data_mode_only_sorts_and_keeps_repeats_adjacent(case):
+    n, entries = case
+    rows, cols = np.array(entries, dtype=int).reshape(-1, 2).T
+    (receivers, senders, indptr), order = _canonical_index(n, rows, cols, np.arange(rows.size))
+    # every entry kept once, repeats included, each with its own datum
+    assert np.array_equal(np.sort(order), np.arange(rows.size))
+    assert np.array_equal(receivers, rows[order]) and np.array_equal(senders, cols[order])
+    # sorted keys put equal entries on adjacent rows
+    key = receivers * n + senders
+    assert np.all(key[1:] >= key[:-1])
+    assert np.array_equal(indptr, np.searchsorted(receivers, np.arange(n + 1)))
+
+
 class TestGraphChecks:
+    @pytest.mark.parametrize("dense, undirected, got", [
+        ([[0.0, np.nan], [np.nan, 0.0]], True, "nan"),
+        ([[0.0, np.nan], [1.0, 0.0]], False, "nan"),
+        ([[0.0, -1.0], [-1.0, 0.0]], True, "-1.0"),
+        ([[0.0, np.inf], [np.inf, 0.0]], True, "inf"),
+    ], ids=["symmetric-nan", "directed-nan", "symmetric-negative", "symmetric-inf"])
+    def test_entries_that_are_not_weights_are_refused(self, dense, undirected, got):
+        with pytest.raises(ValueError,
+                           match=f"^adjacency entries must be finite and positive, got {got}$"):
+            Graph(adjacency=sp.csr_matrix(np.array(dense)), features=np.zeros((2, 1)),
+                  undirected=undirected)
+
     def test_value_asymmetry_is_refused(self):
         adj = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(ValueError, match="^undirected graph requires symmetric adjacency$"):

@@ -96,6 +96,14 @@ class TestValidateManifold:
         with pytest.raises(ValueError, match=r"orientation conflict on directed edge \(0, 44\)"):
             half_edge_index(flipped_icosphere())
 
+    @pytest.mark.parametrize("index", [1.7, np.nan], ids=["non-integral", "nan"])
+    def test_face_indices_must_be_integers(self, index):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+        with pytest.raises(ValueError, match=r"^face index out of range: faces must be "
+                                             r"integers in range\(3\)$"):
+            TriMesh(vertices=verts, faces=[[0, index, 2]])
+        assert TriMesh(vertices=verts, faces=[[0, 1.0, 2]]).faces.dtype == int
+
 
 class TestCotanLaplacian:
     def test_shared_edge_weight_two_equilaterals(self):
