@@ -172,8 +172,7 @@ def _random_edges(n, p, rng):
 
 def _random_graph(n, d, rng):
     edges = _random_edges(n, 0.35, rng)
-    features = rng.standard_normal((n, d))
-    return graph_nn.graph_from_edges(n, edges, features)
+    return graph_nn.graph_from_edges(n, edges, rng.standard_normal((n, d)))
 
 
 def _cmd_gnn_equivariance(args, seed):

@@ -3,22 +3,23 @@ linear set generators, the three spatial GNN flavours (convolutional,
 attentional, message-passing), self-attention on the complete graph with
 optional positional encodings, and Weisfeiler-Lehman colour refinement.
 
-This module owns the adjacency format: the canonical CSR index
-``(receivers, senders, indptr)``, edges sorted by receiver then sender, the
-edges into ``u`` at ``indptr[u]:indptr[u + 1]``.  :func:`_canonical_index` is
-the only place an edge list becomes that index: one numpy sort of the keys
-``receiver * n + sender``, duplicates collapsed.  Edge lists
-(:func:`adjacency_from_edges`, the geometric graphs of
-:mod:`gdlkit.equivariant_geo`, the transformer's complete graph), the
-relabelling of :func:`permute_graph`, the symmetry check of :class:`Graph`,
-the mesh edges and half-edge index of :mod:`gdlkit.mesh_core` and the gauge
-spokes all go through it; no COO matrix is built.  A transform that reads
-one endpoint only (the convolutional and attentional sender transform
-``psi``, the two attention projections) runs once per node and is gathered
-per edge; one that reads both endpoints (the message-passing ``psi`` on
-``x_u || x_v``, the attention score) runs per edge.  Messages are summed
-with :func:`tree_sum` in that fixed order, so permuted inputs agree to near
-machine precision.
+This module owns the adjacency format.  A :class:`Graph` holds the
+canonical CSR index ``(receivers, senders, indptr)`` (edges sorted by
+receiver then sender, the edges into ``u`` at ``indptr[u]:indptr[u + 1]``)
+and its weights in edge order; its ``adjacency`` is a scipy matrix
+assembled on read for callers.  :func:`_canonical_index` is the only place
+entries become that index: one numpy sort of the keys ``receiver * n +
+sender``, duplicates collapsed.  Edge lists, the geometric graphs of
+:mod:`gdlkit.equivariant_geo`, the transformer's complete graph, the
+relabelling of :func:`permute_graph`, the symmetry check of a caller's
+matrix, the mesh edges and half-edge index of :mod:`gdlkit.mesh_core` and
+the gauge spokes all go through it; only a caller's matrix is read by
+scipy.  A transform that reads one endpoint only (the convolutional and
+attentional sender transform ``psi``, the two attention projections) runs
+once per node and is gathered per edge; one that reads both endpoints (the
+message-passing ``psi`` on ``x_u || x_v``, the attention score) runs per
+edge.  Messages are summed with :func:`tree_sum` in that fixed order, so
+permuted inputs agree to near machine precision.
 """
 
 from dataclasses import dataclass
@@ -109,67 +110,73 @@ def _undirected_index(n, edges):
     return pairs, _canonical_index(n, both[:, 0], both[:, 1])
 
 
-def adjacency_from_edges(n, edges):
-    """Binary CSR adjacency of an undirected edge list in canonical form:
-    indices sorted, duplicate edges collapsed, each edge stored both ways."""
-    import scipy.sparse as sp
-    _, ((_, senders, indptr), data) = _undirected_index(n, edges)
-    return sp.csr_matrix((data, senders, indptr), shape=(n, n))
-
-
 def edge_index(adjacency):
-    """``(receivers, senders, indptr)`` of a canonical CSR adjacency."""
-    indptr = adjacency.indptr
+    """``(receivers, senders, indptr)`` of a canonical CSR adjacency, as ints."""
+    indptr = adjacency.indptr.astype(int)
     receivers = np.repeat(np.arange(adjacency.shape[0]), np.diff(indptr))
-    return receivers, adjacency.indices, indptr
+    return receivers, adjacency.indices.astype(int), indptr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
-    """Node features plus sparse adjacency, kept synchronised.  ``adjacency``
-    is a canonical copy of the caller's matrix, whose finite positive weights
-    are kept as given and read by no layer, and the attribute ``edge_index``
-    its view, the one way layers read edges."""
+    """Node features, the canonical ``edge_index`` (the one way layers read
+    edges) and ``weights``, one finite positive weight per edge in its order
+    (ones for edge lists), read by no layer.  The constructor takes a scipy
+    or dense matrix; ``adjacency`` is a CSR matrix assembled on each read."""
 
-    adjacency: "scipy.sparse.csr_matrix"
     features: np.ndarray
+    weights: np.ndarray
     undirected: bool = True
     allow_self_loops: bool = False
 
-    def __post_init__(self):
+    def __init__(self, adjacency, features, undirected=True, allow_self_loops=False):
         import scipy.sparse as sp
-        adj = sp.csr_matrix(self.adjacency, dtype=float, copy=True)
+        adj = sp.csr_matrix(adjacency, dtype=float, copy=True)
         adj.sum_duplicates()
         adj.eliminate_zeros()
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "edge_index", edge_index(adj))
-        n = self.features.shape[0]
+        n = features.shape[0]
         if adj.shape != (n, n):
             raise ValueError("adjacency must be square and match the feature rows")
-        receivers, senders, _ = self.edge_index
+        receivers, senders, _ = index = edge_index(adj)
         bad = adj.data[~(np.isfinite(adj.data) & (adj.data > 0))]
         if bad.size:
             raise ValueError(f"adjacency entries must be finite and positive, got {bad[0]}")
-        if self.undirected:
+        if undirected:
             # the transposed entries, sorted, must be the entries themselves
             (rt, st, _), data = _canonical_index(n, senders, receivers, adj.data)
-            if not (np.array_equal(rt, receivers) and np.array_equal(st, senders)
-                    and np.array_equal(data, adj.data)):
+            if not all(map(np.array_equal, (rt, st, data), (receivers, senders, adj.data))):
                 raise ValueError("undirected graph requires symmetric adjacency")
-        if not self.allow_self_loops and np.any(receivers == senders):
-            raise ValueError("self-loops present but not flagged")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("non-finite node features")
+        _fill(self, index, adj.data, features, undirected, allow_self_loops)
 
     @property
     def n(self):
         return self.features.shape[0]
 
+    @property
+    def adjacency(self):
+        import scipy.sparse as sp
+        _, senders, indptr = self.edge_index
+        return sp.csr_matrix((self.weights, senders, indptr), shape=(self.n, self.n), copy=True)
+
+
+def _fill(g, index, weights, features, undirected=True, allow_self_loops=False):
+    """``g`` holding a canonical index, its weights and the features, once checked."""
+    receivers, senders, indptr = index
+    if indptr.shape[0] != features.shape[0] + 1:
+        raise ValueError("adjacency must be square and match the feature rows")
+    if not allow_self_loops and np.any(receivers == senders):
+        raise ValueError("self-loops present but not flagged")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("non-finite node features")
+    g.__dict__.update(features=features, weights=weights, edge_index=index,
+                      undirected=undirected, allow_self_loops=allow_self_loops)
+    return g
+
 
 def graph_from_edges(n, edges, features):
     """Undirected graph without self-loops from an edge list."""
-    return Graph(adjacency=adjacency_from_edges(n, edges),
-                 features=np.asarray(features, dtype=float))
+    _, (index, weights) = _undirected_index(n, edges)
+    return _fill(object.__new__(Graph), index, weights, np.asarray(features, dtype=float))
 
 
 def check_indices(p, n, reason):
@@ -198,18 +205,13 @@ def permute_graph(g, p):
 
     ``p[u]`` is the new label of old node ``u``.
     """
-    import scipy.sparse as sp
     p = check_permutation(p, g.n)
     receivers, senders, _ = g.edge_index
-    # a bijection of a canonical index leaves no duplicates: one sort
-    (_, senders, indptr), data = _canonical_index(g.n, p[receivers], p[senders],
-                                                  g.adjacency.data)
-    adj = sp.csr_matrix((data, senders, indptr), shape=(g.n, g.n))
+    # a bijection keeps a canonical index duplicate-free, and symmetric if it was
+    index, weights = _canonical_index(g.n, p[receivers], p[senders], g.weights)
     feats = np.empty_like(g.features)
     feats[p] = g.features
-    h = Graph(adjacency=adj, features=feats, undirected=False, allow_self_loops=g.allow_self_loops)
-    object.__setattr__(h, "undirected", g.undirected)  # relabelling keeps adj == adj.T
-    return h
+    return _fill(object.__new__(Graph), index, weights, feats, g.undirected, g.allow_self_loops)
 
 
 def tree_sum(values, indptr):
@@ -352,9 +354,8 @@ def transformer_forward(x, params, use_positional=False):
     n = x.shape[0]
     if use_positional:
         x = np.concatenate([x, positional_encoding(n, 2 * ((x.shape[1] + 1) // 2))], axis=1)
-    adj = adjacency_from_edges(n, np.stack(np.triu_indices(n), axis=1))  # pairs u <= v
-    g = Graph(adjacency=adj, features=x, undirected=True, allow_self_loops=True)
-    return gnn_forward(g, "attn", params)
+    _, (index, weights) = _undirected_index(n, np.stack(np.triu_indices(n), axis=1))  # u <= v
+    return gnn_forward(_fill(object.__new__(Graph), index, weights, x, True, True), "attn", params)
 
 
 # ---------------------------------------------------------------------------

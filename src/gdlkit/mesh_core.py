@@ -73,6 +73,8 @@ class TriMesh:
 
     def mean_edge_length(self):
         e = self.edges()
+        if not e.size:
+            raise ValueError("mesh has no edges")
         return float(np.mean(np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)))
 
 
@@ -322,7 +324,7 @@ def _load_off(path):
         if len(tokens) < 4:
             raise ValueError(f"{where}: a face needs 3 vertex indices, got {len(tokens) - 1}")
         faces.append(_numbers(tokens[1:4], int, where))
-    return TriMesh(vertices=np.array(verts), faces=np.array(faces, dtype=int))
+    return TriMesh(vertices=np.array(verts), faces=np.array(faces, dtype=int).reshape(-1, 3))
 
 
 def _load_obj(path):
@@ -346,4 +348,4 @@ def _load_obj(path):
                     raise ValueError(f"{where}: index out of range")
                 faces.append([i - 1 for i in idx])
             # other OBJ statements are outside the supported subset
-    return TriMesh(vertices=np.array(verts), faces=np.array(faces, dtype=int))
+    return TriMesh(vertices=np.array(verts), faces=np.array(faces, dtype=int).reshape(-1, 3))

@@ -144,6 +144,18 @@ def test_bad_input_exits_2_with_one_line_reason(capsys, tmp_path, argv, reason):
     assert len(lines) == 1 and lines[0].startswith("gdlkit: error: ") and reason in lines[0]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "stability"])
+@pytest.mark.parametrize("name, text", [("noface.off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"),
+                                        ("noface.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n")])
+def test_faceless_mesh_files_are_refused_in_one_line(capsys, tmp_path, command, name, text):
+    # a RuntimeWarning on the way would fail the test (see pyproject.toml)
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, ["mesh", command, "--mesh", str(path)])
+    assert code == 2 and out == ""
+    assert err == "gdlkit: error: mesh has no edges\n"
+
+
 # n/(2 pi sigma) at the default n and sigma; at --k0 32 the shift s*k0 is s
 # scaled by a power of two, so it lands exactly on a multiple of it
 SPREAD = 1024 / (2.0 * np.pi * 32.0)
@@ -452,12 +464,12 @@ def loaded(prefix):
 assert not loaded("scipy"), loaded("scipy")
 for argv in (["group", "table", "--name", "Oh"], ["fourier-instability"],
              ["rnn", "shift-equivariance"], ["lstm", "chrono"], ["gauge", "equivariance"],
-             ["egnn", "equivariance", "--n", "6", "--trials", "2"]):
+             ["egnn", "equivariance", "--n", "6", "--trials", "2"],
+             *(["gnn", "equivariance", "--flavour", flavour, "--n", "6", "--trials", "2"]
+               for flavour in ("conv", "attn", "mpnn"))):
     assert dispatch(argv)[0] == 0, argv
     assert not loaded("scipy.sparse"), (argv, loaded("scipy.sparse"))
-for argv in (["mesh", "spectrum", "--mesh", "icosphere:1", "--k", "8"],
-             ["gnn", "equivariance", "--n", "6", "--trials", "2"]):
-    assert dispatch(argv)[0] == 0, argv
+assert dispatch(["mesh", "spectrum", "--mesh", "icosphere:1", "--k", "8"])[0] == 0
 """
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gdlkit import equivariant_geo as geo
 from gdlkit import mesh_core
-from gdlkit.graph_nn import adjacency_from_edges, edge_index, tree_sum
+from gdlkit.graph_nn import edge_index, tree_sum
 from gdlkit.rng import substream
 
 TWO_PI = 2.0 * np.pi
@@ -329,6 +330,15 @@ class TestFramesAndLogMap:
         with pytest.raises(ValueError, match="vertex 0 has a non-manifold star"):
             frames = geo.tangent_frames(bowtie)
             geo.transport_angles(bowtie, frames, geo.one_ring_log_map(bowtie, frames))
+
+
+def adjacency_from_edges(n, edges):
+    """Oracle: the binary scipy CSR matrix of an undirected edge list, each
+    edge stored both ways and duplicates collapsed."""
+    both = np.concatenate([edges, edges[:, ::-1]])
+    adjacency = sp.csr_matrix((np.ones(both.shape[0]), (both[:, 0], both[:, 1])), shape=(n, n))
+    adjacency.data[:] = 1.0
+    return adjacency
 
 
 class TestConnectionLayout:

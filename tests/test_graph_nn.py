@@ -120,6 +120,23 @@ class TestPermuteGraph:
         assert np.array_equal(h.edge_index[2], oracle.indptr)
         assert h.undirected == undirected
 
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_relabelling_carries_the_weights(self, undirected):
+        rng = np.random.default_rng(29)
+        a = sp.random(30, 30, density=0.2, random_state=29, format="csr")
+        a.setdiag(0.0)
+        if undirected:
+            a = a + a.T
+        g = Graph(adjacency=a, features=rng.standard_normal((30, 2)), undirected=undirected)
+        p = rng.permutation(30)
+        h = permute_graph(g, p)
+        # the weight of old edge (u, v) sits on new edge (p[u], p[v])
+        new = dict(zip(zip(*(e.tolist() for e in h.edge_index[:2])), h.weights.tolist()))
+        old = zip(*(e.tolist() for e in g.edge_index[:2]))
+        assert {(p[u], p[v]): w for (u, v), w in zip(old, g.weights.tolist())} == new
+        assert h.weights.dtype == g.weights.dtype and len(new) == h.weights.size
+        assert np.array_equal(permute_graph(h, np.argsort(p)).weights, g.weights)
+
 
 def canonical_oracle(n, rows, cols):
     """The index of scipy's COO -> CSR conversion, duplicates summed."""
@@ -178,6 +195,27 @@ def test_data_mode_only_sorts_and_keeps_repeats_adjacent(case):
     assert np.array_equal(indptr, np.searchsorted(receivers, np.arange(n + 1)))
 
 
+@given(EDGE_LISTS)
+@settings(max_examples=200, deadline=None)
+def test_edge_lists_build_the_graph_of_their_scipy_matrix(case):
+    # the matrix constructor, on scipy's binary CSR of both orientations
+    n, entries = case
+    pairs = np.array(entries, dtype=int).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    both = np.concatenate([pairs, pairs[:, ::-1]])
+    matrix = sp.csr_matrix((np.ones(both.shape[0]), (both[:, 0], both[:, 1])), shape=(n, n))
+    matrix.data[:] = 1.0
+    features = np.arange(2.0 * n).reshape(n, 2)
+    listed, oracle = graph_from_edges(n, pairs, features), Graph(adjacency=matrix, features=features)
+    for ours, reference in zip((*listed.edge_index, listed.weights),
+                               (*oracle.edge_index, oracle.weights)):
+        assert ours.dtype == reference.dtype and ours.tobytes() == reference.tobytes()
+    for part in ("data", "indices", "indptr"):
+        ours, reference = getattr(listed.adjacency, part), getattr(matrix, part)
+        assert ours.dtype == reference.dtype and ours.tobytes() == reference.tobytes(), part
+        assert getattr(oracle.adjacency, part).tobytes() == reference.tobytes(), part
+
+
 class TestGraphChecks:
     @pytest.mark.parametrize("dense, undirected, got", [
         ([[0.0, np.nan], [np.nan, 0.0]], True, "nan"),
@@ -212,6 +250,31 @@ class TestGraphChecks:
             Graph(adjacency=adj, features=np.zeros((2, 1)))
         g = Graph(adjacency=adj, features=np.zeros((2, 1)), allow_self_loops=True)
         assert np.array_equal(g.edge_index[0], [0, 0, 1])
+
+    def test_features_are_checked_on_every_path(self):
+        adj = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        bad = np.array([[0.0], [np.nan]])
+        for build in (lambda x: Graph(adjacency=adj, features=x),
+                      lambda x: graph_from_edges(2, [(0, 1)], x)):
+            with pytest.raises(ValueError, match="^adjacency must be square and match the "
+                                                 "feature rows$"):
+                build(np.zeros((3, 1)))
+            with pytest.raises(ValueError, match="^non-finite node features$"):
+                build(bad)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph_from_edges(2, [(0, 1)], np.zeros((2, 1))).weights = np.zeros(2)
+
+    def test_adjacency_is_a_fresh_matrix_on_each_read(self):
+        g = graph_from_edges(4, [(0, 1), (1, 2), (3, 1)], np.zeros((4, 1)))
+        weights, index = g.weights.copy(), [part.copy() for part in g.edge_index]
+        first = g.adjacency
+        first.data[:] = 7.0
+        first.indices[:] = 0
+        first.indptr[:] = 0
+        assert np.array_equal(g.weights, weights) and np.array_equal(g.adjacency.data, weights)
+        for ours, reference in zip(g.edge_index, index):
+            assert np.array_equal(ours, reference)
+        assert (g.adjacency != permute_graph(g, np.arange(4)).adjacency).nnz == 0
 
     @pytest.mark.parametrize("edges, reason", [
         ([(0, 1.5)], r"^edge endpoints must be integers in range\(3\)$"),
